@@ -66,9 +66,13 @@ class IncrementDistribution:
 
     def sample_indices(self, rng: np.random.Generator, size,
                        weights=None) -> np.ndarray:
-        """Inverse-CDF atom sampling; `weights` overrides the stored law (tilting)."""
+        """Inverse-CDF atom sampling; `weights` overrides the stored law (tilting).
+
+        Indices come in the smallest unsigned type that holds n_atoms - 1.
+        """
         w = np.asarray(self.weights if weights is None else weights, dtype=np.float64)
         cum = np.cumsum(w)
         cum[-1] = 1.0
         u = rng.random(size)
-        return np.searchsorted(cum, u, side="right").astype(np.uint8)
+        idx = np.searchsorted(cum, u, side="right")
+        return idx.astype(np.min_scalar_type(self.n_atoms - 1))

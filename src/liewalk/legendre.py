@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, NonConvergenceError
-from .lie import AlgebraVector
+from .lie import AlgebraVector, _frobenius_norms
 
 DOMAIN_TOL = 1e-9
 GRAD_TOL = 1e-8       # stationarity tolerance of the dual optimizer
@@ -245,6 +245,93 @@ def _dual_newton(atom_coords: np.ndarray, log_weights: np.ndarray,
     return val, c, grad_norm, max_iter, grad_norm <= GRAD_TOL
 
 
+def _dual_newton_stack(atom_coords: np.ndarray, log_weights: np.ndarray,
+                       targets: np.ndarray, starts: np.ndarray,
+                       max_iter: int = 200):
+    """_dual_newton on every row of targets (n, r), row i started at starts[i].
+
+    Each row follows _dual_newton's steps, ties, backtracking, divergence and
+    stopping rules and leaves the iteration as soon as they say it would.
+    Returns arrays (values, c, grad_norms, iterations, converged).
+    """
+    n, r = targets.shape
+    c = starts.astype(np.float64, copy=True)
+    eye = np.eye(r)
+
+    def objective(cv, tg):
+        logs = log_weights + (atom_coords @ cv[..., None])[..., 0]
+        top = logs.max(axis=1, keepdims=True)
+        lse = top + np.log(np.exp(logs - top).sum(axis=1, keepdims=True))
+        return (cv[:, None, :] @ tg[..., None])[:, 0, 0] - lse[:, 0], logs - lse
+
+    def solve(cov, mu, grad):
+        try:
+            return np.linalg.solve(cov + mu[:, None, None] * eye, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            steps = np.zeros_like(grad)
+            for i in range(len(grad)):
+                mu_i = mu[i]
+                for _ in range(60):
+                    try:
+                        steps[i] = np.linalg.solve(cov[i] + mu_i * eye, grad[i])
+                        break
+                    except np.linalg.LinAlgError:
+                        mu_i *= 100.0
+            return steps
+
+    val, logp = objective(c, targets)
+    grad_norm = np.full(n, np.inf)
+    iterations = np.full(n, max_iter)
+    converged = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    tie = 1e-14
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        p = np.exp(logp[live])
+        mean = (p[:, None, :] @ atom_coords)[:, 0, :]
+        grad = targets[live] - mean
+        gn = _frobenius_norms(grad[:, None, :])
+        grad_norm[live] = gn
+        done = gn <= 0.01 * GRAD_TOL
+        iterations[live[done]] = it
+        converged[live[done]] = True
+        live, p, mean, grad, gn = live[~done], p[~done], mean[~done], grad[~done], gn[~done]
+        if not live.size:
+            break
+        cov = (np.swapaxes(atom_coords * p[:, :, None], 1, 2) @ atom_coords
+               - mean[:, :, None] * mean[:, None, :])
+        mu = 1e-12 * np.maximum(1.0, np.trace(cov, axis1=1, axis2=2) / max(r, 1))
+        step = solve(cov, mu, grad)
+        scale = np.ones(len(live))
+        improved = np.zeros(len(live), dtype=bool)
+        strict = np.zeros(len(live), dtype=bool)
+        pending = np.arange(len(live))
+        for _ in range(60):
+            if not pending.size:
+                break
+            rows = live[pending]
+            cand = c[rows] + scale[pending, None] * step[pending]
+            cand_val, cand_logp = objective(cand, targets[rows])
+            # tie-tolerant, as in _dual_newton
+            take = cand_val > val[rows] - tie * np.maximum(1.0, np.abs(val[rows]))
+            strict[pending[take]] = cand_val[take] > val[rows[take]]
+            c[rows[take]] = cand[take]
+            val[rows[take]] = cand_val[take]
+            logp[rows[take]] = cand_logp[take]
+            improved[pending[take]] = True
+            scale[pending[~take]] *= 0.5
+            pending = pending[~take]
+        stop = ~improved | (~strict & (gn <= GRAD_TOL))
+        iterations[live[stop]] = it
+        converged[live[stop]] = gn[stop] <= GRAD_TOL
+        diverged = ~stop & (_frobenius_norms(c[live][:, None, :]) > DIVERGENCE_NORM)
+        iterations[live[diverged]] = it
+        live = live[~stop & ~diverged]
+    converged[live] = grad_norm[live] <= GRAD_TOL
+    return val, c, grad_norm, iterations, converged
+
+
 def legendre(dist: IncrementDistribution, x: AlgebraVector) -> LegendreResult:
     """Convex conjugate of the log-MGF at x, with maximizer when attained.
 
@@ -320,17 +407,38 @@ def lstar_interior(geom: SupportGeometry, x_mat: np.ndarray,
 
     Used inside descent loops where iterates stay in the relative interior;
     off-hull points and diverging duals report +inf instead of classifying
-    via linear programs.
+    via linear programs.  One row of lstar_interior_stack.
     """
-    t, residual = geom.to_coords(x_mat)
-    if residual > DOMAIN_TOL:
+    starts = np.zeros((1, geom.rank)) if start is None else start[None]
+    vals, lams = lstar_interior_stack(geom, x_mat[None], starts)
+    if not np.isfinite(vals[0]):
         return np.inf, None
-    if geom.rank == 0:
-        if np.linalg.norm(t) > DOMAIN_TOL:
-            return np.inf, None
-        return float(-geom.log_weights[0]), None
-    val, c, gn, _, ok = _dual_newton(geom.atom_coords, geom.log_weights, t,
-                                     start=start, max_iter=80)
-    if not ok:
-        return np.inf, None
-    return val, c
+    return float(vals[0]), (lams[0] if geom.rank else None)
+
+
+def lstar_interior_stack(geom: SupportGeometry, x_mats: np.ndarray,
+                         starts: np.ndarray):
+    """lstar_interior on a (n, d, d) stack, row i warm-started at starts[i].
+
+    Rows off the hull by more than DOMAIN_TOL, or whose dual diverges or
+    stalls within 80 Newton steps, are +inf.  Returns (values,
+    lambda-coords) with shapes (n,) and (n, r); the lambda-coords of a row
+    whose value is +inf are meaningless.
+    """
+    n, d, _ = x_mats.shape
+    r = geom.rank
+    diff = (x_mats - geom.xbar).reshape(n, d * d, 1)
+    flat = geom.frame.reshape(r, d * d)
+    t = (flat @ diff)[..., 0]
+    residual = _frobenius_norms((diff - flat.T @ t[..., None])[:, None, :, 0])
+    vals = np.full(n, np.inf)
+    lams = np.zeros((n, r))
+    on = np.flatnonzero(residual <= DOMAIN_TOL)
+    if r == 0:
+        vals[on] = -geom.log_weights[0]
+        return vals, lams
+    val, c, _, _, ok = _dual_newton_stack(geom.atom_coords, geom.log_weights,
+                                          t[on], starts[on], max_iter=80)
+    vals[on[ok]] = val[ok]
+    lams[on[ok]] = c[ok]
+    return vals, lams

@@ -153,8 +153,9 @@ def operator_norm(m: np.ndarray, iters: int = 30, tol: float = 1e-12) -> float:
 
     Near-degenerate top singular pairs make fixed-count power iteration
     arbitrarily slow, so when the Rayleigh increments have not dropped below
-    tol by the last iteration the exact symmetric eigenvalue of the small
-    Gram matrix is returned instead.
+    tol relative to the quotient by the last iteration the exact symmetric
+    eigenvalue of the small Gram matrix is returned instead.  The stop is
+    relative so that small operators are not cut off at their first quotient.
     """
     m = np.asarray(m, dtype=np.float64)
     v = 1.0 + 0.01 * np.arange(m.shape[1])
@@ -168,7 +169,7 @@ def operator_norm(m: np.ndarray, iters: int = 30, tol: float = 1e-12) -> float:
             return 0.0
         v_new = w / nw
         lam_new = float(v_new @ (mtm @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
+        if abs(lam_new - lam) <= tol * lam_new:
             return float(np.sqrt(max(lam_new, 0.0)))
         v, lam = v_new, lam_new
     return float(np.sqrt(max(np.linalg.eigvalsh(mtm)[-1], 0.0)))
@@ -231,23 +232,50 @@ def from_coords(c: np.ndarray, d: int) -> AlgebraVector:
 _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(a)
-    s = 0
-    if norm >= 0.5:
-        s = int(np.ceil(np.log2(norm / 0.5)))
-    x = a / (2.0 ** s)
-    d = a.shape[0]
-    ident = np.eye(d)
+def _frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (..., d, d) stack.
+
+    Each norm is one dot product, as np.linalg.norm takes it for a single
+    matrix, so thresholds on these norms decide exactly as they do there.
+    """
+    flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
+
+
+def _pade7(x: np.ndarray) -> np.ndarray:
+    ident = np.eye(x.shape[-1])
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
     b = _PADE7
     u = x @ (b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
     v = b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one matrix or of a (..., d, d) stack.
+
+    A stack gives each matrix its own scaling exponent; every matrix comes
+    out bit for bit as it does on its own.
+    """
+    if a.ndim == 2:
+        norm = np.linalg.norm(a)
+        s = 0
+        if norm >= 0.5:
+            s = int(np.ceil(np.log2(norm / 0.5)))
+        r = _pade7(a / (2.0 ** s))
+        for _ in range(s):
+            r = r @ r
+        return r
+    norms = _frobenius_norms(a)
+    s = np.zeros(norms.shape, dtype=np.int64)
+    big = norms >= 0.5
+    s[big] = np.ceil(np.log2(norms[big] / 0.5))
+    r = _pade7(a / np.ldexp(1.0, s)[..., None, None])
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
     return r
 
 
@@ -310,6 +338,30 @@ def _logm(g: np.ndarray, max_sqrt: int = 60) -> np.ndarray:
         if tail < 1e-17 or m > 80:
             break
     return total * (2.0 ** k)
+
+
+def _logm_near_identity(g: np.ndarray):
+    """_logm on the matrices of a (n, d, d) stack that take no square root.
+
+    Returns (near, logs): the mask of matrices with ||g - I||_F below
+    _MERCATOR_SWITCH and their logs, from one Mercator series in which each
+    matrix stops where its own tail bound does, as _logm stops on it alone.
+    """
+    e = g - np.eye(g.shape[-1])
+    norm_e = _frobenius_norms(e)
+    near = norm_e < _MERCATOR_SWITCH
+    e, norm_e = e[near], norm_e[near]
+    total = e.copy()
+    term = e.copy()
+    live = np.arange(len(e))
+    m = 1
+    while live.size:
+        m += 1
+        term[live] = term[live] @ e[live]
+        total[live] += ((-1.0) ** (m + 1) / m) * term[live]
+        tail = norm_e[live] ** (m + 1) / ((m + 1) * (1.0 - norm_e[live]))
+        live = live[(tail >= 1e-17) & (m <= 80)]
+    return near, total
 
 
 def log_matrix(g: GroupElement) -> AlgebraVector:

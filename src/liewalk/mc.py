@@ -4,8 +4,10 @@ Plain frequency estimates carry Wilson intervals (one-sided upper bound at
 zero hits); importance-sampled estimates tilt the atom weights by
 e^{<lambda, X> - Lambda(lambda)} and unweight trajectories by
 e^{-sum <lambda, X_j> + n Lambda(lambda)}, reporting the effective sample
-size.  Shards merge by summing counts in shard order, so results are
-deterministic functions of (arguments, seed, shard count).
+size.  Tilted weights are summed in log space, so log p stays exact where p
+itself underflows (below about e^-745).  Shards merge by summing counts and
+log-summing weights in shard order, so results are deterministic functions
+of (arguments, seed, shard count).
 
 Empirical rate curves n -> -(1/n) log p are finite-n surrogates for an
 asymptotic statement; every curve carries that disclaimer in its metadata.
@@ -14,6 +16,7 @@ asymptotic statement; every curve carries that disclaimer in its metadata.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from ._kernels import indexed_products, stoch2_log_norms
 from .distributions import IncrementDistribution
@@ -69,6 +72,13 @@ class EstimateResult:
     ess: float          # effective count of weighted hits backing the estimate
     tilted: bool
     degenerate: bool    # tilted with ESS < 10: too few effective hits
+    log_p: float        # log of p, lo and hi; finite where p, lo, hi underflow
+    log_lo: float
+    log_hi: float
+
+
+def _log(x: float) -> float:
+    return float(np.log(x)) if x > 0.0 else float("-inf")
 
 
 def _event_distances(dist, n, event, idx):
@@ -120,8 +130,8 @@ def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
     children = np.random.SeedSequence(seed).spawn(shards)
 
     hit_count = 0
-    wsum = 0.0
-    wsq = 0.0
+    log_wsum = -np.inf      # log of the summed hit weights
+    log_wsq = -np.inf       # log of the summed squared hit weights
     for shard_seed, count in zip(children, per_shard):
         rng = np.random.default_rng(shard_seed)
         idx = dist.sample_indices(rng, (count, n), weights=weights)
@@ -131,26 +141,34 @@ def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
         if tilt is not None:
             counts = np.stack([(idx == a).sum(axis=1) for a in range(dist.n_atoms)],
                               axis=1)
-            logw = -(counts @ scores) + n * lam_mgf
-            hw = np.where(hits, np.exp(logw), 0.0)
-            wsum += float(hw.sum())
-            wsq += float((hw * hw).sum())
+            logw = (-(counts @ scores) + n * lam_mgf)[hits]
+            log_wsum = np.logaddexp(log_wsum, logsumexp(logw))
+            log_wsq = np.logaddexp(log_wsq, logsumexp(2.0 * logw))
 
     if tilt is None:
         p = hit_count / samples
         lo, hi = wilson_interval(hit_count, samples)
         return EstimateResult(p=float(p), lo=lo, hi=hi, samples=samples,
                               weighted_hits=float(hit_count), ess=float(hit_count),
-                              tilted=False, degenerate=False)
+                              tilted=False, degenerate=False,
+                              log_p=_log(p), log_lo=_log(lo), log_hi=_log(hi))
 
-    p = wsum / samples
-    var = max(wsq / samples - p * p, 0.0)
-    half = Z_TWO_SIDED * np.sqrt(var / samples)
-    ess = wsum ** 2 / wsq if wsq > 0 else 0.0
-    return EstimateResult(p=float(p), lo=float(max(0.0, p - half)),
-                          hi=float(p + half), samples=samples,
-                          weighted_hits=float(wsum), ess=float(ess),
-                          tilted=True, degenerate=bool(ess < 10.0))
+    log_p = float(log_wsum - np.log(samples))
+    if hit_count == 0:
+        ess = 0.0
+        log_lo = log_hi = float("-inf")
+    else:
+        # the variance of the weights relative to p^2 is samples / ESS - 1,
+        # so the half-width relative to p needs no weight outside log space
+        ess = float(np.exp(2.0 * log_wsum - log_wsq))
+        rel_half = Z_TWO_SIDED * np.sqrt(max(1.0 / ess - 1.0 / samples, 0.0))
+        log_lo = log_p + np.log1p(-rel_half) if rel_half < 1.0 else float("-inf")
+        log_hi = log_p + np.log1p(rel_half)
+    return EstimateResult(p=float(np.exp(log_p)), lo=float(np.exp(log_lo)),
+                          hi=float(np.exp(log_hi)), samples=samples,
+                          weighted_hits=float(np.exp(log_wsum)), ess=ess,
+                          tilted=True, degenerate=bool(ess < 10.0),
+                          log_p=log_p, log_lo=float(log_lo), log_hi=float(log_hi))
 
 
 def estimate_probability(dist: IncrementDistribution, n: int, event: BallEvent,
@@ -181,12 +199,6 @@ class RateCurveRow:
 class RateCurve:
     rows: list[RateCurveRow]
     metadata: dict = field(default_factory=dict)
-
-
-def _to_rate(p: float, n: int) -> float:
-    if p <= 0.0:
-        return float("inf")
-    return float(-np.log(p) / n)
 
 
 def auto_tilt(dist: IncrementDistribution, event: BallEvent) -> AlgebraVector | None:
@@ -228,8 +240,8 @@ def empirical_rate_curve(dist: IncrementDistribution, event: BallEvent, ns,
         est = tilted_estimator(dist, n, event, samples, tilt, child, shards=shards)
         rows.append(RateCurveRow(
             n=n, samples=samples, weighted_hits=est.weighted_hits, p=est.p,
-            p_lo=est.lo, p_hi=est.hi, rate=_to_rate(est.p, n),
-            rate_lo=_to_rate(est.hi, n), rate_hi=_to_rate(est.lo, n),
+            p_lo=est.lo, p_hi=est.hi, rate=-est.log_p / n,
+            rate_lo=-est.log_hi / n, rate_hi=-est.log_lo / n,
             ess=est.ess, degenerate=est.degenerate))
     meta = {
         "disclaimer": FINITE_N_DISCLAIMER,

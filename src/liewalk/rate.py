@@ -27,6 +27,7 @@ settle whether the paper calls the constant split optimal, nor why its
 displayed closed form goes negative.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,16 +36,19 @@ import numpy as np
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, OutOfDomainError
 from .legendre import (
+    DOMAIN_TOL,
     SupportGeometry,
     _support_geometry,
     legendre,
     lstar_interior,
+    lstar_interior_stack,
 )
 from .lie import (
     AlgebraVector,
     GroupElement,
     _expm,
     _logm,
+    _logm_near_identity,
     log_matrix,
 )
 
@@ -232,8 +236,15 @@ class DiscretizedRate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _exp_segment(geom: SupportGeometry, t_row: np.ndarray, m: int) -> np.ndarray:
-    return _expm((geom.xbar + np.tensordot(t_row, geom.frame, axes=1)) / m)
+def _hull_points(geom: SupportGeometry, coords: np.ndarray) -> np.ndarray:
+    """xbar + sum_j t_j U_j for every coordinate row of a (..., r) array.
+
+    The same product as np.tensordot(coords, geom.frame, axes=1), without
+    its per-call axis bookkeeping.
+    """
+    lead, (r, d, _) = coords.shape[:-1], geom.frame.shape
+    flat = np.dot(coords.reshape(math.prod(lead), r), geom.frame.reshape(r, d * d))
+    return geom.xbar + flat.reshape(*lead, d, d)
 
 
 def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
@@ -242,6 +253,43 @@ def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
     except (OutOfDomainError, np.linalg.LinAlgError):
         return float("inf")
     return float(np.sum(lg * lg))
+
+
+def _penalties(prods: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """_penalty of every matrix of a (..., d, d) stack, bit for bit.
+
+    One solve covers the stack.  Matrices whose relative displacement takes
+    no square root in _logm share one Mercator series; the others go through
+    _penalty one by one, and so does every matrix of a stack that the solve
+    finds singular.
+    """
+    flat = prods.reshape(-1, *prods.shape[-2:])
+    try:
+        rel = np.linalg.solve(flat, g)
+    except np.linalg.LinAlgError:
+        return np.array([_penalty(p, g) for p in flat]).reshape(prods.shape[:-2])
+    near, lg = _logm_near_identity(rel)
+    out = np.empty(len(flat))
+    out[near] = np.sum(lg * lg, axis=(-2, -1))
+    for i in np.flatnonzero(~near):
+        out[i] = _penalty(flat[i], g)
+    return out.reshape(prods.shape[:-2])
+
+
+def _off_determinant_line(geom: SupportGeometry, g: np.ndarray) -> bool:
+    """True when no product of hull segments can reach g.
+
+    With every frame direction traceless, det Psi_m(x) = exp(tr xbar) for all
+    segment lists x.  An endpoint with det g <= 0 or log det g off tr xbar by
+    more than sqrt(d) DOMAIN_TOL is then unreachable at every m: the closing
+    segment of the repair would sit at least m |log det g - tr xbar| / sqrt(d)
+    off the hull.
+    """
+    if np.abs(np.trace(geom.frame, axis1=1, axis2=2)).max(initial=0.0) > 1e-12:
+        return False
+    sign, logdet = np.linalg.slogdet(g)
+    return bool(sign <= 0
+                or abs(logdet - np.trace(geom.xbar)) > np.sqrt(g.shape[0]) * DOMAIN_TOL)
 
 
 def _initial_coords(dist, geom: SupportGeometry, g: GroupElement, m: int):
@@ -273,7 +321,13 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
     Segments are parameterized in the affine hull of the support.  After each
     penalty stage the last segment is replaced by the exact log that restores
     feasibility, and the best exactly-feasible candidate seen is reported, so
-    warm-started refinements can only improve.
+    warm-started refinements can only improve.  An endpoint off the
+    determinant line of the hull is +inf at once, with diagnostics reason
+    "determinant" and no iterations.
+
+    Each iterate takes its m segment exponentials, its 2 m r finite-difference
+    products and their penalties as stacks, and its m conjugates from one
+    batched dual Newton.
     """
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
@@ -281,6 +335,7 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
         raise InvalidArgumentError("dimension mismatch between endpoint and support")
     geom = _support_geometry(dist)
     r = geom.rank
+    d = dist.dim
     g_mat = g.entries
 
     if seed_segments is not None:
@@ -294,84 +349,89 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
                 raise InvalidArgumentError("seed segment leaves the support's affine hull")
             rows.append(t)
         coords_t = np.array(rows).reshape(m, r)
-    else:
+
+    diag = {"iterations": 0, "rho_schedule": list(rho_schedule)}
+    if _off_determinant_line(geom, g_mat):
+        diag.update(feasible=False, reason="determinant")
+        return DiscretizedRate(m=m, value=float("inf"), segments=None,
+                               constraint_residual=float("inf"), diagnostics=diag)
+    if seed_segments is None:
         coords_t = _initial_coords(dist, geom, g, m)
 
-    warm = [None] * m
+    warm = np.zeros((m, r))
 
     def smooth_and_grad(tc):
-        vals = np.empty(m)
-        grads = np.zeros((m, r))
-        for i in range(m):
-            mx = geom.xbar + np.tensordot(tc[i], geom.frame, axes=1)
-            val, lam_c = lstar_interior(geom, mx, start=warm[i])
-            if not np.isfinite(val):
-                return np.inf, None
-            warm[i] = lam_c
-            vals[i] = val
-            if lam_c is not None:
-                grads[i] = lam_c / m
-        return float(vals.mean()), grads
+        vals, lams = lstar_interior_stack(geom, _hull_points(geom, tc), warm)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        first = bad[0] if bad.size else m
+        # rows past the first infinite one keep their old warm start
+        warm[:first] = lams[:first]
+        if first < m:
+            return np.inf, None
+        return float(vals.mean()), lams / m
 
-    def products(tc):
-        prefixes = [np.eye(dist.dim)]
-        for i in range(m):
-            prefixes.append(prefixes[-1] @ _exp_segment(geom, tc[i], m))
-        suffixes = [np.eye(dist.dim)] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            suffixes[i] = _exp_segment(geom, tc[i], m) @ suffixes[i + 1]
-        return prefixes, suffixes
+    def segment_exps(tc):
+        return _expm(_hull_points(geom, tc) / m)
 
-    def repair(tc):
+    def prefix_products(exps):
+        out = np.empty((len(exps) + 1, d, d))
+        out[0] = np.eye(d)
+        for i, e in enumerate(exps):
+            out[i + 1] = out[i] @ e
+        return out
+
+    def suffix_products(exps):
+        out = np.empty((len(exps) + 1, d, d))
+        out[-1] = np.eye(d)
+        for i in range(len(exps) - 1, -1, -1):
+            out[i] = exps[i] @ out[i + 1]
+        return out
+
+    def repair(tc, exps):
         """Exact-feasibility candidate: last segment set to the closing log."""
-        prefixes, _ = products(tc)
+        head = prefix_products(exps[:m - 1])[-1]
         try:
-            closing = _logm(np.linalg.solve(prefixes[m - 1], g_mat))
+            closing = _logm(np.linalg.solve(head, g_mat))
         except (OutOfDomainError, np.linalg.LinAlgError):
             return np.inf, None, np.inf
-        vals = []
-        for i in range(m - 1):
-            mx = geom.xbar + np.tensordot(tc[i], geom.frame, axes=1)
-            v, _ = lstar_interior(geom, mx)
-            vals.append(v)
-        v_last, _ = lstar_interior(geom, m * closing)
-        vals.append(v_last)
-        if not all(np.isfinite(v) for v in vals):
+        points = _hull_points(geom, tc[:m - 1])
+        vals, _ = lstar_interior_stack(geom, np.concatenate([points, m * closing[None]]),
+                                       np.zeros((m, r)))
+        if not np.all(np.isfinite(vals)):
             return np.inf, None, np.inf
-        segs = [AlgebraVector((geom.xbar + np.tensordot(tc[i], geom.frame, axes=1)) / m)
-                for i in range(m - 1)]
+        segs = [AlgebraVector(p / m) for p in points]
         segs.append(AlgebraVector(closing))
-        prod = prefixes[m - 1] @ _expm(closing)
-        residual = float(np.sqrt(_penalty(prod, g_mat)))
+        residual = float(np.sqrt(_penalty(head @ _expm(closing), g_mat)))
         return float(np.mean(vals)), tuple(segs), residual
 
-    best_val, best_segs, best_res = repair(coords_t)
+    # central differences: up[i, j] is row i with coordinate j moved by
+    # +fd_eps, and dn[i, j] is that point moved by -2 fd_eps
+    bump = np.eye(r) * fd_eps
+    exps = segment_exps(coords_t)
+    best_val, best_segs, best_res = repair(coords_t, exps)
     total_iters = 0
     for rho in rho_schedule:
         step = 0.05
         for _ in range(max_iter):
             total_iters += 1
-            sm, grads = smooth_and_grad(coords_t)
-            if grads is None:
+            sm, grad = smooth_and_grad(coords_t)
+            if grad is None:
                 break
-            prefixes, suffixes = products(coords_t)
-            pen0 = _penalty(prefixes[m], g_mat)
+            # the iterate's product and its 2 m r bumped products, one stack
+            prefixes = prefix_products(exps)
+            suffixes = suffix_products(exps)
+            up = coords_t[:, None, :] + bump
+            dn = up - 2 * bump
+            bumped = (prefixes[:m, None, None] @ segment_exps(np.stack([up, dn], axis=2))
+                      @ suffixes[1:, None, None])                   # (m, r, 2, d, d)
+            pens = _penalties(np.concatenate([prefixes[m:], bumped.reshape(-1, d, d)]),
+                              g_mat)
+            pen0, pens = pens[0], pens[1:].reshape(m, r, 2)
             if not np.isfinite(pen0):
                 break
             f0 = sm + rho * pen0
-            grad = grads.copy()
-            for i in range(m):
-                for j in range(r):
-                    bumped = coords_t[i].copy()
-                    bumped[j] += fd_eps
-                    up = _penalty(prefixes[i] @ _exp_segment(geom, bumped, m)
-                                  @ suffixes[i + 1], g_mat)
-                    bumped[j] -= 2 * fd_eps
-                    dn = _penalty(prefixes[i] @ _exp_segment(geom, bumped, m)
-                                  @ suffixes[i + 1], g_mat)
-                    if not (np.isfinite(up) and np.isfinite(dn)):
-                        continue
-                    grad[i, j] += rho * (up - dn) / (2 * fd_eps)
+            ok = np.isfinite(pens).all(axis=2)
+            grad[ok] += rho * (pens[..., 0][ok] - pens[..., 1][ok]) / (2 * fd_eps)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-10:
                 break
@@ -380,22 +440,22 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
                 cand = coords_t - step * grad
                 sm_c, _ = smooth_and_grad(cand)
                 if np.isfinite(sm_c):
-                    pc = _penalty(products(cand)[0][m], g_mat)
-                    fc = sm_c + rho * pc
+                    exps_c = segment_exps(cand)
+                    fc = sm_c + rho * _penalty(prefix_products(exps_c)[m], g_mat)
                     if np.isfinite(fc) and fc < f0 - 1e-15:
-                        coords_t = cand
+                        coords_t, exps = cand, exps_c
                         moved = True
                         break
                 step *= 0.5
             if not moved:
                 break
             step *= 1.7
-        val, segs, res = repair(coords_t)
+        val, segs, res = repair(coords_t, exps)
         if val < best_val:
             best_val, best_segs, best_res = val, segs, res
 
-    diag = {"iterations": total_iters, "rho_schedule": list(rho_schedule),
-            "feasible": bool(np.isfinite(best_val))}
+    diag["iterations"] = total_iters
+    diag["feasible"] = bool(np.isfinite(best_val))
     if not np.isfinite(best_val):
         return DiscretizedRate(m=m, value=float("inf"), segments=None,
                                constraint_residual=float("inf"), diagnostics=diag)
@@ -426,6 +486,14 @@ def refinement_ladder(dist: IncrementDistribution, g: GroupElement, ms,
 
 @dataclass
 class RateReport:
+    """Discretized ladder beside the two-state reference numbers.
+
+    quadrature_optimal_path holds the quadrature along the constant-split
+    path (an upper bound on the rate, not its minimizer off c = 1/2); the
+    key keeps its name for existing readers.  diagnostics["reasons"] names,
+    per m, why a value is +inf when the solver did not run ("determinant").
+    """
+
     endpoint: list
     alpha: float | None
     m_values: list[int]
@@ -477,8 +545,8 @@ def rate_report(dist: IncrementDistribution, g: GroupElement, ms,
             if disc < quad - 0.01 * max(1.0, abs(quad)):
                 notes["variational_gap"] = (
                     f"discretized minimum {disc:.6f} lies below the "
-                    f"one-parameter-path cost {quad:.6f}: ordered exponentials "
-                    f"reach the endpoint with cheaper mixes")
+                    f"constant-split path cost (an upper bound) {quad:.6f}: "
+                    f"ordered exponentials reach the endpoint with cheaper mixes")
     largest = max(ladder)
     segs = ladder[largest].segments
     mixture = None
@@ -495,5 +563,7 @@ def rate_report(dist: IncrementDistribution, g: GroupElement, ms,
         minimizer_mixture=mixture,
         diagnostics={"notes": notes,
                      "iterations": {m: ladder[m].diagnostics.get("iterations")
-                                    for m in ladder}},
+                                    for m in ladder},
+                     "reasons": {m: ladder[m].diagnostics.get("reason")
+                                 for m in ladder}},
     )

@@ -48,7 +48,7 @@ class WalkTrajectory:
     dist: IncrementDistribution
     n: int
     seed: int
-    atom_indices: np.ndarray          # (n,) uint8
+    atom_indices: np.ndarray          # (n,) unsigned, sized to the atom count
     _points: np.ndarray               # stored points, (n_stored, d, d)
     stride: int
 

@@ -12,6 +12,7 @@ from liewalk import (
     minimal_face,
 )
 from liewalk.bch import sample_ball
+from liewalk.legendre import _dual_newton, _dual_newton_stack, _support_geometry
 
 
 def line_point(x1, alpha=1.0, beta=1.0):
@@ -273,3 +274,41 @@ def test_interior_of_three_atoms_matches_entropy_oracle():
     y = 0.2 * dist3.atoms[0] + 0.5 * dist3.atoms[1] + 0.3 * dist3.atoms[2]
     res_y = legendre(dist3, y)
     assert res_y.value == pytest.approx(entropy_program_oracle(dist3, y), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the batched dual Newton against the one-target solver
+
+def triangle_dist():
+    a = AlgebraVector([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    b = AlgebraVector([[0.0, 0.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]])
+    c = AlgebraVector([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+    return IncrementDistribution(atoms=(a, b, c), weights=(0.4, 0.3, 0.3))
+
+
+@pytest.mark.parametrize("which", ["two_state", "triangle"])
+def test_dual_newton_stack_matches_single(dist, rng, which):
+    d = dist if which == "two_state" else triangle_dist()
+    geom = _support_geometry(d)
+    k, r = geom.atom_coords.shape
+    # interior targets (random mixtures), a vertex and points past the hull,
+    # where the dual diverges
+    mix = rng.dirichlet(np.ones(k), size=12)
+    targets = np.concatenate([mix @ geom.atom_coords,
+                              geom.atom_coords[:1],
+                              1.5 * geom.atom_coords[:1],
+                              -2.0 * geom.atom_coords[-1:]])
+    starts = rng.standard_normal(targets.shape)
+    starts[::2] = 0.0       # cold starts, as for a first evaluation
+    for max_iter in (200, 80):
+        vals, c, gn, its, ok = _dual_newton_stack(
+            geom.atom_coords, geom.log_weights, targets, starts, max_iter=max_iter)
+        for i, (t, s) in enumerate(zip(targets, starts)):
+            v1, c1, g1, it1, ok1 = _dual_newton(geom.atom_coords, geom.log_weights,
+                                                t, start=s, max_iter=max_iter)
+            assert ok[i] == ok1, (i, max_iter)
+            assert its[i] == it1
+            if ok1:
+                assert vals[i] == pytest.approx(v1, abs=1e-12)
+                assert np.abs(c[i] - c1).max() <= 1e-12 * max(1.0, np.abs(c1).max())
+    assert not ok[-2:].any() and ok[:12].all()

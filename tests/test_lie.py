@@ -23,7 +23,7 @@ from liewalk import (
     log_matrix,
     validate_injectivity,
 )
-from liewalk.lie import algebra_dim, operator_norm
+from liewalk.lie import _expm, algebra_dim, operator_norm
 from liewalk.serialize import algebra_from_jsonable, group_from_jsonable, matrix_to_jsonable
 
 
@@ -334,3 +334,25 @@ def test_deserializer_names_violated_constraint():
         group_from_jsonable([[1.0, 0.5], [0.0, 1.0]])
     assert err.value.constraint == "unit_row_sum"
     assert err.value.residual == pytest.approx(0.5)
+
+
+def test_operator_norm_small_operators(rng):
+    # the power-iteration stop is relative, so tiny operators are not cut off
+    # at their first Rayleigh quotient
+    for scale in (3e-7, 1e-9):
+        for _ in range(10):
+            op = ad_operator(random_algebra(rng, 3, scale))
+            assert op.norm() == pytest.approx(op.norm_svd(), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stacked exponential
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_expm_stack_bit_identical_to_loop(rng, d):
+    # norms from 0 to 3: unscaled matrices and ones squared up to three times
+    norms = np.concatenate([[0.0, 0.5, 1.0, 2.0], rng.uniform(0.0, 3.0, 60)])
+    mats = rng.standard_normal((len(norms), d, d))
+    mats *= (norms / np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
+    stacked = _expm(mats.reshape(8, -1, d, d)).reshape(mats.shape)
+    assert np.array_equal(stacked, np.array([_expm(m) for m in mats]))

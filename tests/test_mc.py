@@ -186,3 +186,32 @@ def test_generic_dimension_path():
     center = exp_matrix(d3.mean)
     est = estimate_probability(d3, 15, BallEvent(center, 0.25), 400, seed=41)
     assert 0.0 < est.p <= 1.0
+
+
+def test_sample_indices_cover_many_atoms():
+    # 300 atoms need 16-bit indices; 8-bit ones would alias atoms 256-299
+    atoms = tuple(AlgebraVector([[-a, a], [0.0, 0.0]]) for a in np.linspace(0.1, 1.0, 300))
+    law = IncrementDistribution(atoms=atoms, weights=(1.0 / 300,) * 300)
+    idx = law.sample_indices(np.random.default_rng(3), 100_000)
+    assert len(np.unique(idx)) == 300 and idx.max() == 299
+
+
+def test_sample_indices_two_atoms_stay_8_bit(dist):
+    assert dist.sample_indices(np.random.default_rng(3), 10).dtype == np.uint8
+
+
+def test_tilted_estimate_below_float_floor(dist):
+    # at n = 5000 the minimal cost puts log p near -904, below the float64
+    # floor of about -745: p underflows to 0, while log p and the rate stay
+    # finite and inside criterion 7's window
+    c = 0.8
+    center = exp_matrix(line_x(c))
+    r_star = c * np.log(c) + (1 - c) * np.log(1 - c) + np.log(2.0)
+    curve = empirical_rate_curve(dist, BallEvent(center, 0.03), [5000], 200,
+                                 seed=2026, tilt_policy="auto")
+    row = curve.rows[0]
+    assert row.p == 0.0
+    assert 0.5 * r_star <= row.rate <= 1.5 * r_star
+    assert row.rate_lo <= row.rate <= row.rate_hi
+    # ESS from log weights: at least one effective hit whenever any hit
+    assert 1.0 <= row.ess <= row.samples

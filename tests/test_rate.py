@@ -19,6 +19,7 @@ from liewalk import (
     refinement_ladder,
 )
 from liewalk.lie import _expm, _logm
+from liewalk.rate import _penalties, _penalty
 
 
 def line_endpoint(c, alpha=1.0):
@@ -372,3 +373,59 @@ def test_rate_report_triple(dist):
     assert "variational_gap" in notes
     payload = report.to_jsonable()
     assert set(payload["discretized"]) == {"2", "4"}
+
+
+# ---------------------------------------------------------------------------
+# stacked penalties, the determinant line, and values of the looped solver
+
+def test_penalties_bit_identical_to_loop(rng):
+    g, _ = line_endpoint(0.7)
+    g = g.entries
+    near = g @ (np.eye(2) + 0.05 * rng.standard_normal((20, 2, 2)))
+    far = g @ (np.eye(2) + 0.6 * rng.standard_normal((10, 2, 2)))
+    # rel = prod^-1 g with a negative eigenvalue has no principal log
+    no_log = np.array([g @ np.linalg.inv(np.diag([-1.0, 2.0]))])
+    prods = np.concatenate([near, far, no_log]).reshape(31, 1, 2, 2)
+    loop = np.array([_penalty(p, g) for p in prods[:, 0]]).reshape(31, 1)
+    assert np.isinf(loop[-1, 0]) and np.isfinite(loop[:20]).all()
+    assert np.array_equal(_penalties(prods, g), loop)
+    # a singular product fails the stacked solve: every matrix goes one by one
+    singular = np.concatenate([near[:3], [[[1.0, 1.0], [1.0, 1.0]]]])
+    loop = np.array([_penalty(p, g) for p in singular])
+    assert np.isinf(loop[-1])
+    assert np.array_equal(_penalties(singular, g), loop)
+
+
+def test_off_determinant_line_is_infinite_at_once(dist):
+    # det exp(X/n) = e^{tr X / n} forces det g = e^-1 on this model
+    g = GroupElement([[0.7, 0.3], [0.2, 0.8]])
+    for m in (4, 8):
+        res = discretized_rate(dist, g, m)
+        assert np.isinf(res.value) and res.segments is None
+        assert res.diagnostics["reason"] == "determinant"
+        assert res.diagnostics["iterations"] == 0
+    report = rate_report(dist, g, [4, 8], alpha=1.0)
+    assert report.diagnostics["reasons"] == {4: "determinant", 8: "determinant"}
+
+
+def test_on_determinant_line_within_rounding_runs_solver(dist):
+    g, _ = line_endpoint(0.6)
+    # move log det g by 1e-12 along the line: still reachable, within rounding
+    nudged = GroupElement(g.entries + 1e-12 * np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    res = discretized_rate(dist, nudged, 4)
+    assert "reason" not in res.diagnostics and res.diagnostics["iterations"] > 0
+    assert np.isfinite(res.value)
+
+
+def test_ladder_values_of_looped_solver(dist):
+    # values the solver gave with one exp, penalty and dual Newton per
+    # segment, before it worked on stacks (the rate-ladder endpoints)
+    expected = {0.58: (0.011953054580261389, 0.011907368008878247),
+                0.7: (0.076868484082665, 0.07659910100084666)}
+    for c, values in expected.items():
+        g, _ = line_endpoint(c)
+        ladder = refinement_ladder(dist, g, [4, 8])
+        for m, value in zip((4, 8), values):
+            assert ladder[m].value == pytest.approx(value, abs=1e-10), (c, m)
+            assert ladder[m].constraint_residual <= 1e-9
+        assert ladder[8].value <= ladder[4].value
