@@ -8,7 +8,6 @@ estimation with exponential tilting.  The built-in reference model is the
 two-state stochastic group.
 """
 
-from .backend import backend_name
 from .bch import (
     BoundCertificate,
     R_BCH,

@@ -1,14 +1,11 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels on stacks of matrices, in numpy.
 
-Every kernel exists in two variants computing the same quantity:
-``*_nb`` (compiled with numba when available) and ``*_np`` (vectorized or
-plain numpy).  The public wrappers dispatch on the selected backend; the
-test suite checks the two variants agree.
+``partial_products`` and ``indexed_products`` multiply step matrices in
+left-to-right order; ``stoch2_log_norms`` takes principal-log norms of 2x2
+unit-row-sum matrices in closed form.  Each kernel has one implementation.
 """
 
 import numpy as np
-
-from .backend import NUMBA_ENABLED, njit
 
 __all__ = [
     "partial_products",
@@ -20,80 +17,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sequential partial products of a single chain of step matrices
 
-def partial_products_np(steps: np.ndarray) -> np.ndarray:
-    """Cumulative left-to-right products; out[0] = I, out[k] = out[k-1] @ steps[k-1]."""
-    n, d, _ = steps.shape
-    out = np.empty((n + 1, d, d))
-    out[0] = np.eye(d)
-    for k in range(n):
-        out[k + 1] = out[k] @ steps[k]
-    return out
-
-
-@njit(cache=True)
-def _partial_products_jit(steps):
-    n, d, _ = steps.shape
-    out = np.empty((n + 1, d, d))
-    out[0] = np.eye(d)
-    for k in range(n):
-        out[k + 1] = out[k] @ steps[k]
-    return out
-
-
 def partial_products(steps: np.ndarray) -> np.ndarray:
+    """Cumulative left-to-right products; out[0] = I, out[k] = out[k-1] @ steps[k-1]."""
     steps = np.ascontiguousarray(steps, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _partial_products_jit(steps)
-    return partial_products_np(steps)
+    n, d, _ = steps.shape
+    out = np.empty((n + 1, d, d))
+    out[0] = np.eye(d)
+    for k in range(n):
+        out[k + 1] = out[k] @ steps[k]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # batched endpoint products for Monte Carlo: one product chain per sample
 
-def indexed_products_np(step_mats: np.ndarray, idx: np.ndarray,
-                        left: np.ndarray) -> np.ndarray:
+def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
+                     left: np.ndarray) -> np.ndarray:
     """Endpoint of left @ prod_j step_mats[idx[s, j]] for every sample s.
 
-    Vectorized across samples; the per-sample multiplication order is the
-    same left-to-right order as the numba variant.
+    Vectorized across samples, one stacked product per step.
     """
+    step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
+    left = np.ascontiguousarray(left, dtype=np.float64)
+    idx = np.ascontiguousarray(idx)
     n_samples, n_steps = idx.shape
     out = np.broadcast_to(left, (n_samples,) + left.shape).copy()
     for j in range(n_steps):
         out = out @ step_mats[idx[:, j]]
     return out
-
-
-@njit(cache=True)
-def _indexed_products_jit(step_mats, idx, left):
-    n_samples, n_steps = idx.shape
-    d = left.shape[0]
-    out = np.empty((n_samples, d, d))
-    acc = np.empty((d, d))
-    tmp = np.empty((d, d))
-    for s in range(n_samples):
-        acc[:, :] = left
-        for j in range(n_steps):
-            e = step_mats[idx[s, j]]
-            for r in range(d):
-                for c in range(d):
-                    v = 0.0
-                    for k in range(d):
-                        v += acc[r, k] * e[k, c]
-                    tmp[r, c] = v
-            acc, tmp = tmp, acc
-        out[s] = acc
-    return out
-
-
-def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
-                     left: np.ndarray) -> np.ndarray:
-    step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
-    left = np.ascontiguousarray(left, dtype=np.float64)
-    idx = np.ascontiguousarray(idx)
-    if NUMBA_ENABLED:
-        return _indexed_products_jit(step_mats, idx, left)
-    return indexed_products_np(step_mats, idx, left)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +55,7 @@ def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
 # polynomial log(M) = log(s)/(s - 1) * (M - I).  Entries outside the log
 # domain get +inf.
 
-def _log_factor_np(s: np.ndarray) -> np.ndarray:
+def _log_factor(s: np.ndarray) -> np.ndarray:
     e = s - 1.0
     small = np.abs(e) < 1e-6
     # series of log(1+e)/e for tiny e; full expression elsewhere
@@ -115,9 +66,11 @@ def _log_factor_np(s: np.ndarray) -> np.ndarray:
     return f
 
 
-def stoch2_log_norms_np(mats: np.ndarray) -> np.ndarray:
+def stoch2_log_norms(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the principal logs of a (n, 2, 2) stack."""
+    mats = np.ascontiguousarray(mats, dtype=np.float64)
     s = mats[:, 0, 0] + mats[:, 1, 1] - 1.0
-    f = _log_factor_np(s)
+    f = _log_factor(s)
     e00 = mats[:, 0, 0] - 1.0
     e01 = mats[:, 0, 1]
     e10 = mats[:, 1, 0]
@@ -126,32 +79,3 @@ def stoch2_log_norms_np(mats: np.ndarray) -> np.ndarray:
     out = np.abs(f) * np.sqrt(sq)
     out = np.where(s > 0, out, np.inf)
     return out
-
-
-@njit(cache=True)
-def _stoch2_log_norms_jit(mats):
-    n = mats.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        s = mats[i, 0, 0] + mats[i, 1, 1] - 1.0
-        if s <= 0.0:
-            out[i] = np.inf
-            continue
-        e = s - 1.0
-        if abs(e) < 1e-6:
-            f = 1.0 - e / 2.0 + e * e / 3.0 - e * e * e / 4.0
-        else:
-            f = np.log(s) / e
-        e00 = mats[i, 0, 0] - 1.0
-        e01 = mats[i, 0, 1]
-        e10 = mats[i, 1, 0]
-        e11 = mats[i, 1, 1] - 1.0
-        out[i] = abs(f) * np.sqrt(e00 * e00 + e01 * e01 + e10 * e10 + e11 * e11)
-    return out
-
-
-def stoch2_log_norms(mats: np.ndarray) -> np.ndarray:
-    mats = np.ascontiguousarray(mats, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _stoch2_log_norms_jit(mats)
-    return stoch2_log_norms_np(mats)

@@ -26,11 +26,10 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .backend import backend_name
 from .bch import run_log_product_suite, validate_bch_radius
 from .errors import LieWalkError, UsageError
 from .legendre import legendre, legendre_closed_form_s2
-from .lie import AlgebraVector, validate_injectivity
+from .lie import AlgebraVector, _frobenius_norms, validate_injectivity
 from .mc import BallEvent, empirical_rate_curve
 from .rate import rate_report
 from .serialize import load_algebra_matrix, load_group_matrix, matrix_to_jsonable
@@ -94,7 +93,6 @@ def write_json(path: str | None, config: dict, results: dict) -> str:
         "meta": {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "version": __version__,
-            "backend": backend_name(),
         },
         "config": config,
         "results": results,
@@ -176,12 +174,9 @@ def _cmd_simulate(args, file_cfg) -> int:
     }
     text = write_json(args.out_json, {"subcommand": "simulate", **cfg}, results)
     if args.out_csv:
-        from .lie import _logm
-        rows = []
-        for k in range(1, traj.n + 1):
-            rel = np.linalg.solve(traj.point(k - 1), traj.point(k))
-            rows.append((k, float(np.linalg.norm(_logm(rel))),
-                         float(np.linalg.norm(traj.increments[k - 1]) / traj.n)))
+        proxy = _frobenius_norms(traj.step_logs())
+        inc = _frobenius_norms(dist.atom_stack())[traj.atom_indices] / traj.n
+        rows = list(zip(range(1, traj.n + 1), proxy.tolist(), inc.tolist()))
         write_csv(args.out_csv, ["k", "proxy_distance", "increment_norm_over_n"], rows)
     if not args.out_json:
         sys.stdout.write(text)

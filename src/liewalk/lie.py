@@ -364,6 +364,25 @@ def _logm_near_identity(g: np.ndarray):
     return near, total
 
 
+def _logm_stack(g: np.ndarray):
+    """_logm on each matrix of a (n, d, d) stack, bit for bit.
+
+    Returns (logs, ok).  Matrices near the identity share one Mercator
+    series (_logm_near_identity); the rest go through _logm one by one.
+    Where _logm raises OutOfDomainError, ok is False and the log is NaN.
+    """
+    near, near_logs = _logm_near_identity(g)
+    logs = np.empty(g.shape)
+    logs[near] = near_logs
+    ok = np.ones(len(g), dtype=bool)
+    for i in np.flatnonzero(~near):
+        try:
+            logs[i] = _logm(g[i])
+        except OutOfDomainError:
+            logs[i], ok[i] = np.nan, False
+    return logs, ok
+
+
 def log_matrix(g: GroupElement) -> AlgebraVector:
     """Principal matrix logarithm; raises OutOfDomainError outside its domain."""
     return AlgebraVector(_logm(g.entries))

@@ -22,7 +22,14 @@ from ._kernels import indexed_products, stoch2_log_norms
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, OutOfDomainError
 from .legendre import legendre, log_mgf
-from .lie import AlgebraVector, GroupElement, _expm, _logm, log_matrix
+from .lie import (
+    AlgebraVector,
+    GroupElement,
+    _expm,
+    _frobenius_norms,
+    _logm_stack,
+    log_matrix,
+)
 
 Z_TWO_SIDED = 1.959963984540054     # 95% two-sided
 Z_ONE_SIDED = 1.6448536269514722    # 95% one-sided (zero-hit upper bound)
@@ -85,17 +92,11 @@ def _event_distances(dist, n, event, idx):
     """Distance-proxy values from the ball center to each sample endpoint."""
     step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
     center_inv = np.linalg.inv(event.center.entries)
-    if dist.dim == 2:
-        end = indexed_products(step_mats, idx, center_inv)
-        return stoch2_log_norms(end)
     end = indexed_products(step_mats, idx, center_inv)
-    out = np.empty(len(end))
-    for i, m in enumerate(end):
-        try:
-            out[i] = np.linalg.norm(_logm(m))
-        except OutOfDomainError:
-            out[i] = np.inf
-    return out
+    if dist.dim == 2:
+        return stoch2_log_norms(end)
+    logs, ok = _logm_stack(end)
+    return np.where(ok, _frobenius_norms(logs), np.inf)
 
 
 def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,

@@ -25,7 +25,9 @@ from .lie import (
     AlgebraVector,
     GroupElement,
     _expm,
+    _frobenius_norms,
     _logm,
+    _logm_stack,
     ad_operator,
     distance_proxy,
     from_coords,
@@ -85,9 +87,40 @@ class WalkTrajectory:
             acc = acc @ mats[self.atom_indices[j]]
         return acc
 
+    def prefix_points(self, k: int) -> np.ndarray:
+        """Partial products after 0..k steps as a (k + 1, d, d) stack.
+
+        Above POINT_STORAGE_LIMIT they are recomputed by the kernel that
+        built the walk, so they equal point(j) bit for bit.
+        """
+        if self.stride == 1:
+            return self._points[:k + 1]
+        return partial_products(self._step_mats[self.atom_indices[:k]])
+
+    def step_logs(self) -> np.ndarray:
+        """Logs of the n one-step displacements point(k-1)^-1 point(k)."""
+        pts = self.prefix_points(self.n)
+        return _logs_or_raise(np.linalg.solve(pts[:-1], pts[1:]), lambda k: "")
+
     @property
     def endpoint(self) -> GroupElement:
         return GroupElement(self.point(self.n))
+
+
+def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
+    """Logs of a (n, d, d) stack, raising at the first matrix without one.
+
+    The OutOfDomainError carries _logm's message after context(i), where i
+    is the matrix's 1-based position in the stack.
+    """
+    logs, ok = _logm_stack(mats)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            _logm(mats[i])
+        except OutOfDomainError as exc:
+            raise OutOfDomainError(f"{context(i + 1)}{exc}")
+    return logs
 
 
 def simulate_walk(dist: IncrementDistribution, n: int, seed: int) -> WalkTrajectory:
@@ -138,17 +171,13 @@ def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
         raise InvalidArgumentError("segment count must lie in [1, n]")
     block = traj.n // m
     bounds = tuple(l * block for l in range(m)) + (traj.n,)
-    logs = []
-    for l in range(1, m + 1):
-        rel = np.linalg.solve(traj.point(bounds[l - 1]), traj.point(bounds[l]))
-        try:
-            logs.append(AlgebraVector(_logm(rel)))
-        except OutOfDomainError as exc:
-            raise OutOfDomainError(
-                f"segment {l} displacement is outside the log domain; "
-                f"increase m (currently {m}): {exc}")
+    pts = np.array([traj.point(b) for b in bounds])
+    logs = _logs_or_raise(
+        np.linalg.solve(pts[:-1], pts[1:]),
+        lambda l: (f"segment {l} displacement is outside the log domain; "
+                   f"increase m (currently {m}): "))
     return SegmentDecomposition(traj=traj, m=m, boundaries=bounds,
-                                segment_logs=tuple(logs))
+                                segment_logs=tuple(AlgebraVector(x) for x in logs))
 
 
 def psi_m(segments) -> GroupElement:
@@ -199,15 +228,11 @@ def replacement_deviation(traj: WalkTrajectory, m: int) -> ReplacementCertificat
     b = traj.dist.support_bound
     kappa = kappa_support(traj.dist)
     cums = np.cumsum(traj.dist.atom_stack()[traj.atom_indices[:k_max]], axis=0) / n
-    worst, arg = -1.0, 0
-    for k in range(1, k_max + 1):
-        try:
-            lg = _logm(traj.point(k))
-        except OutOfDomainError as exc:
-            raise OutOfDomainError(f"prefix log undefined at k={k}: {exc}")
-        dev = float(np.linalg.norm(lg - cums[k - 1]))
-        if dev > worst:
-            worst, arg = dev, k
+    logs = _logs_or_raise(traj.prefix_points(k_max)[1:],
+                         lambda k: f"prefix log undefined at k={k}: ")
+    devs = _frobenius_norms(logs - cums)
+    arg = int(np.argmax(devs)) + 1
+    worst = float(devs[arg - 1])
     bound = c_constant(kappa * b / m) * (b / m)
     return ReplacementCertificate(m=m, checked_steps=k_max, max_deviation=worst,
                                   argmax_k=arg, bound=bound, kappa=kappa,

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from liewalk.cli import main, parse_config_file
-from liewalk.lie import _expm
+from liewalk import example_model, simulate_walk
+from liewalk.cli import main, parse_config_file, write_csv
+from liewalk.lie import _expm, _logm
 
 
 @pytest.fixture()
@@ -63,6 +64,24 @@ def test_simulate_csv(tmp_path):
     for line in lines[1:6]:
         _, d, ref = line.split(",")
         assert float(d) == pytest.approx(float(ref), abs=1e-12)
+
+
+def test_simulate_csv_matches_looped_rows(tmp_path):
+    # the stacked rows are byte-identical to the per-step definition
+    csv = tmp_path / "steps.csv"
+    assert main(["simulate", "--alpha", "1", "--beta", "2", "--n", "2000", "--m", "20",
+                 "--seed", "5", "--out-json", str(tmp_path / "s.json"),
+                 "--out-csv", str(csv)]) == 0
+    traj = simulate_walk(example_model(1.0, 2.0).distribution(), 2000, 5)
+    increments = traj.increments
+    rows = []
+    for k in range(1, traj.n + 1):
+        rel = np.linalg.solve(traj.point(k - 1), traj.point(k))
+        rows.append((k, float(np.linalg.norm(_logm(rel))),
+                     float(np.linalg.norm(increments[k - 1]) / traj.n)))
+    looped = tmp_path / "looped.csv"
+    write_csv(str(looped), ["k", "proxy_distance", "increment_norm_over_n"], rows)
+    assert csv.read_bytes() == looped.read_bytes()
 
 
 def test_legendre_point_and_grid(tmp_path):

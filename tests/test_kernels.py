@@ -1,18 +1,9 @@
-"""Backend equivalence: the numba kernels and the numpy fallbacks compute
-the same quantities."""
+"""The product and log-norm kernels against manual loops and the general log."""
 
 import numpy as np
 import pytest
 
-from liewalk._kernels import (
-    indexed_products,
-    indexed_products_np,
-    partial_products,
-    partial_products_np,
-    stoch2_log_norms,
-    stoch2_log_norms_np,
-)
-from liewalk.backend import NUMBA_ENABLED, backend_name
+from liewalk._kernels import indexed_products, partial_products, stoch2_log_norms
 from liewalk.lie import OutOfDomainError, _expm, _logm
 
 
@@ -27,10 +18,6 @@ def step_mats(rng):
     return np.array(out)
 
 
-def test_backend_name_reported():
-    assert backend_name() in ("numba", "numpy")
-
-
 def test_partial_products_against_manual(step_mats, rng):
     idx = rng.integers(0, 3, size=40)
     steps = step_mats[idx]
@@ -42,14 +29,6 @@ def test_partial_products_against_manual(step_mats, rng):
         np.testing.assert_allclose(got[k + 1], acc, atol=1e-14)
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_partial_products_backends_agree(step_mats, rng):
-    idx = rng.integers(0, 3, size=200)
-    steps = step_mats[idx]
-    np.testing.assert_allclose(partial_products(steps),
-                               partial_products_np(steps), atol=1e-13)
-
-
 def test_indexed_products_against_manual(step_mats, rng):
     idx = rng.integers(0, 3, size=(5, 30)).astype(np.uint8)
     left = np.linalg.inv(step_mats[0])
@@ -59,15 +38,6 @@ def test_indexed_products_against_manual(step_mats, rng):
         for j in range(30):
             acc = acc @ step_mats[idx[s, j]]
         np.testing.assert_allclose(got[s], acc, atol=1e-13)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_indexed_products_backends_agree(step_mats, rng):
-    idx = rng.integers(0, 3, size=(64, 100)).astype(np.uint8)
-    left = np.eye(2)
-    np.testing.assert_allclose(indexed_products(step_mats, idx, left),
-                               indexed_products_np(step_mats, idx, left),
-                               atol=1e-13)
 
 
 def test_stoch2_log_norms_vs_general_log(rng):
@@ -88,13 +58,3 @@ def test_stoch2_log_norms_out_of_domain():
     with pytest.raises(OutOfDomainError):
         _logm(bad[0])
 
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_stoch2_log_norms_backends_agree(rng):
-    mats = []
-    for _ in range(500):
-        a = rng.standard_normal(2) * rng.uniform(0, 1.5)
-        mats.append(_expm(np.array([[-a[0], a[0]], [a[1], -a[1]]])))
-    mats = np.array(mats)
-    np.testing.assert_allclose(stoch2_log_norms(mats), stoch2_log_norms_np(mats),
-                               atol=1e-13)

@@ -6,6 +6,7 @@ from liewalk import (
     BallEvent,
     IncrementDistribution,
     InvalidArgumentError,
+    OutOfDomainError,
     auto_tilt,
     empirical_rate_curve,
     estimate_probability,
@@ -14,7 +15,9 @@ from liewalk import (
     tilted_estimator,
     wilson_interval,
 )
-from liewalk.lie import GroupElement
+from liewalk._kernels import indexed_products
+from liewalk.lie import GroupElement, _expm, _logm
+from liewalk.mc import _event_distances
 
 
 def line_x(c):
@@ -186,6 +189,28 @@ def test_generic_dimension_path():
     center = exp_matrix(d3.mean)
     est = estimate_probability(d3, 15, BallEvent(center, 0.25), 400, seed=41)
     assert 0.0 < est.p <= 1.0
+
+
+def test_event_distances_3x3_match_logm_loop():
+    # endpoints near the center, far from it, and two without a principal
+    # log (a large rotation and a large shear, in either order)
+    cyc = np.roll(np.eye(3), 1, axis=1)
+    rot = AlgebraVector(2.7 * (cyc - cyc.T))
+    shear = AlgebraVector([[-3.0, 3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    small = AlgebraVector([[0.0, 0.0, 0.0], [0.0, -0.02, 0.02], [0.0, 0.0, 0.0]])
+    law = IncrementDistribution(atoms=(rot, shear, small), weights=(0.3, 0.3, 0.4))
+    event = BallEvent(GroupElement(np.eye(3)), 0.5)
+    idx = np.array([[2, 2], [0, 0], [0, 1], [1, 0], [1, 1], [2, 0]], dtype=np.uint8)
+    got = _event_distances(law, 2, event, idx)
+    step_mats = np.array([_expm(a.entries / 2) for a in law.atoms])
+    looped = []
+    for m in indexed_products(step_mats, idx, np.eye(3)):
+        try:
+            looped.append(np.linalg.norm(_logm(m)))
+        except OutOfDomainError:
+            looped.append(np.inf)
+    np.testing.assert_array_equal(got, looped)
+    assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 def test_sample_indices_cover_many_atoms():

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import liewalk.walk as walk_mod
 from liewalk import (
     AlgebraVector,
     IncrementDistribution,
     InvalidArgumentError,
+    OutOfDomainError,
     distance_proxy,
     estimate_continuity_constant,
+    example_model,
     exp_matrix,
     kappa_support,
     log_matrix,
@@ -18,7 +21,7 @@ from liewalk import (
     simulate_walk,
     verify_lipschitz,
 )
-from liewalk.lie import GroupElement
+from liewalk.lie import GroupElement, _logm
 from liewalk.bch import sample_ball
 
 
@@ -170,6 +173,78 @@ def test_replacement_bound_shrinks_with_m(dist):
     c2 = replacement_deviation(traj, 40)
     assert c2.bound < 0.5 * c1.bound
     assert c2.max_deviation <= c1.max_deviation  # nested prefixes
+
+
+def _looped_replacement(traj, m):
+    """The per-step loop the stacked certificate replaces: (max_deviation, argmax_k)."""
+    n = traj.n
+    k_max = n // m
+    cums = np.cumsum(traj.dist.atom_stack()[traj.atom_indices[:k_max]], axis=0) / n
+    worst, arg = -1.0, 0
+    for k in range(1, k_max + 1):
+        try:
+            lg = _logm(traj.point(k))
+        except OutOfDomainError as exc:
+            raise OutOfDomainError(f"prefix log undefined at k={k}: {exc}")
+        dev = float(np.linalg.norm(lg - cums[k - 1]))
+        if dev > worst:
+            worst, arg = dev, k
+    return worst, arg
+
+
+def _looped_segment_logs(traj, m):
+    block = traj.n // m
+    bounds = [l * block for l in range(m)] + [traj.n]
+    return [_logm(np.linalg.solve(traj.point(lo), traj.point(hi)))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _assert_matches_loop(traj, m):
+    cert = replacement_deviation(traj, m)
+    assert (cert.max_deviation, cert.argmax_k) == _looped_replacement(traj, m)
+    seg = segment_decomposition(traj, m)
+    for y, ref in zip(seg.segment_logs, _looped_segment_logs(traj, m)):
+        np.testing.assert_array_equal(y.entries, ref)
+
+
+@pytest.mark.parametrize("m", [1, 20])
+def test_stacked_certificate_matches_loop_stored_points(dist, m):
+    traj = simulate_walk(dist, 4000, seed=35)
+    assert traj.stride == 1
+    _assert_matches_loop(traj, m)
+
+
+def test_stacked_certificate_matches_loop_checkpointed(dist):
+    traj = simulate_walk(dist, walk_mod.POINT_STORAGE_LIMIT + 1, seed=37)
+    assert traj.stride > 1
+    _assert_matches_loop(traj, 1000)
+
+
+def test_stacked_certificate_matches_loop_far_prefixes():
+    # large atoms at small n: later prefixes lie beyond the Mercator switch
+    # and take _logm's square-root path, the first ones do not
+    traj = simulate_walk(example_model(3.0, 3.0).distribution(), 40, seed=39)
+    offsets = np.linalg.norm(traj.points[1:] - np.eye(2), axis=(1, 2))
+    assert offsets.min() < 0.25 <= offsets.max()
+    _assert_matches_loop(traj, 1)
+
+
+def test_stacked_certificate_out_of_domain_names_k():
+    # on a 3x3 law, a large shear followed by a large rotation has a pair of
+    # negative eigenvalues: the second prefix has no principal log
+    cyc = np.roll(np.eye(3), 1, axis=1)
+    rot = AlgebraVector(2.7 * (cyc - cyc.T))
+    shear = AlgebraVector([[-3.0, 3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    traj = simulate_walk(IncrementDistribution(atoms=(rot, shear), weights=(0.5, 0.5)),
+                         2, seed=0)
+    assert traj.atom_indices.tolist() == [1, 0]
+    with pytest.raises(OutOfDomainError) as looped:
+        _looped_replacement(traj, 1)
+    with pytest.raises(OutOfDomainError, match="prefix log undefined at k=2: ") as stacked:
+        replacement_deviation(traj, 1)
+    assert str(stacked.value) == str(looped.value)
+    with pytest.raises(OutOfDomainError, match="segment 1 displacement"):
+        segment_decomposition(traj, 1)
 
 
 def test_kappa_support_two_state(dist):
