@@ -7,6 +7,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .lie import AlgebraVector
 
+SAMPLE_CHUNK = 65536    # uniform draws per chunk of sample_indices
+
 
 @dataclass(frozen=True, eq=False)
 class IncrementDistribution:
@@ -69,10 +71,35 @@ class IncrementDistribution:
         """Inverse-CDF atom sampling; `weights` overrides the stored law (tilting).
 
         Indices come in the smallest unsigned type that holds n_atoms - 1.
+        Uniform draws come in flat chunks of SAMPLE_CHUNK, from the same
+        stream as one rng.random(size) call; each index counts the
+        cumulative weights at or below its draw, which is
+        searchsorted(cum, u, side="right") without the search.  Override
+        weights must have one finite, nonnegative entry per atom and sum to
+        one within 1e-12.
         """
-        w = np.asarray(self.weights if weights is None else weights, dtype=np.float64)
-        cum = np.cumsum(w)
-        cum[-1] = 1.0
-        u = rng.random(size)
-        idx = np.searchsorted(cum, u, side="right")
-        return idx.astype(np.min_scalar_type(self.n_atoms - 1))
+        if weights is None:
+            w = np.asarray(self.weights)
+        else:
+            w = np.asarray(weights, dtype=np.float64)
+            if w.shape != (self.n_atoms,):
+                raise InvalidArgumentError(
+                    f"weights need shape ({self.n_atoms},), got {w.shape}")
+            if not (np.isfinite(w).all() and (w >= 0).all()):
+                raise InvalidArgumentError("weights must be finite and nonnegative")
+            if abs(w.sum() - 1.0) > 1e-12:
+                raise InvalidArgumentError(f"weights sum to {w.sum()!r}, not 1")
+        # the last cumulative weight is 1 and u < 1, so it is never counted
+        cum = np.cumsum(w)[:-1]
+        out = np.zeros(size, dtype=np.min_scalar_type(self.n_atoms - 1))
+        flat = out.reshape(-1)
+        u = np.empty(min(SAMPLE_CHUNK, flat.size))
+        below = np.empty(u.size, dtype=bool)
+        for start in range(0, flat.size, SAMPLE_CHUNK):
+            part = flat[start:start + SAMPLE_CHUNK]
+            draws, mask = u[:part.size], below[:part.size]
+            rng.random(out=draws)
+            for c in cum:
+                np.greater_equal(draws, c, out=mask)
+                part += mask
+        return out

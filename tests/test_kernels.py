@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liewalk._kernels import indexed_products, partial_products, stoch2_log_norms
+from liewalk.errors import InvalidArgumentError
 from liewalk.lie import OutOfDomainError, _expm, _logm
 
 
@@ -38,6 +39,46 @@ def test_indexed_products_against_manual(step_mats, rng):
         for j in range(30):
             acc = acc @ step_mats[idx[s, j]]
         np.testing.assert_allclose(got[s], acc, atol=1e-13)
+
+
+def stacked_loop(step_mats, idx, left):
+    """One stacked matmul per step across all samples (the d > 2 kernel)."""
+    out = np.broadcast_to(left, (idx.shape[0],) + left.shape).copy()
+    for j in range(idx.shape[1]):
+        out = out @ step_mats[idx[:, j]]
+    return out
+
+
+@pytest.mark.parametrize("n_samples, n_steps", [
+    (40, 1), (40, 2), (40, 37), (120, 20000),   # 120 x 20000 spans three row chunks
+])
+def test_indexed_products_2x2_against_stacked_loop(step_mats, rng, n_samples, n_steps):
+    # pairwise composition rounds differently from the sequential chain:
+    # the stated tolerance is 1e-15 per step
+    idx = rng.integers(0, 3, size=(n_samples, n_steps)).astype(np.uint8)
+    left = np.linalg.inv(step_mats[1])
+    got = indexed_products(step_mats, idx, left)
+    np.testing.assert_allclose(got, stacked_loop(step_mats, idx, left),
+                               rtol=0, atol=1e-15 * n_steps)
+
+
+def test_indexed_products_2x2_carries_left_row_sums(step_mats, rng):
+    # a center may be off the group by up to MEMBERSHIP_TOL; its row-sum
+    # residual reaches the endpoint as it does through the stacked chain
+    idx = rng.integers(0, 3, size=(30, 25)).astype(np.uint8)
+    left = np.linalg.inv(step_mats[2])
+    left[:, 0] += 1e-10
+    got = indexed_products(step_mats, idx, left)
+    np.testing.assert_allclose(got, stacked_loop(step_mats, idx, left),
+                               rtol=0, atol=1e-15 * 25)
+    np.testing.assert_allclose(got.sum(axis=-1) - 1.0, 1e-10, rtol=1e-4)
+
+
+def test_indexed_products_2x2_off_group_raises(step_mats):
+    bad = step_mats.copy()
+    bad[1, 0, 1] += 1e-8
+    with pytest.raises(InvalidArgumentError):
+        indexed_products(bad, np.zeros((2, 3), dtype=np.uint8), np.eye(2))
 
 
 def test_stoch2_log_norms_vs_general_log(rng):

@@ -15,7 +15,7 @@ from liewalk import (
     tilted_estimator,
     wilson_interval,
 )
-from liewalk._kernels import indexed_products
+from liewalk._kernels import indexed_products, stoch2_log_norms
 from liewalk.lie import GroupElement, _expm, _logm
 from liewalk.mc import _event_distances
 
@@ -240,3 +240,66 @@ def test_tilted_estimate_below_float_floor(dist):
     assert row.rate_lo <= row.rate <= row.rate_hi
     # ESS from log weights: at least one effective hit whenever any hit
     assert 1.0 <= row.ess <= row.samples
+
+
+def searchsorted_indices(law, rng, size, weights=None):
+    """Inverse-CDF sampling by binary search over the cumulative weights."""
+    w = np.asarray(law.weights if weights is None else weights, dtype=np.float64)
+    cum = np.cumsum(w)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    return idx.astype(np.min_scalar_type(law.n_atoms - 1))
+
+
+def uniform_law(k):
+    atoms = tuple(AlgebraVector([[-a, a], [0.0, 0.0]]) for a in np.linspace(0.1, 1.0, k))
+    return IncrementDistribution(atoms=atoms, weights=(1.0 / k,) * k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 300])
+@pytest.mark.parametrize("size", [1, 1000, 65_537, (3, 65_537), (400, 160)])
+def test_sample_indices_match_searchsorted(k, size):
+    law = uniform_law(k)
+    got = law.sample_indices(np.random.default_rng(11), size)
+    want = searchsorted_indices(law, np.random.default_rng(11), size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sample_indices_tilted_match_searchsorted(dist):
+    tilt = AlgebraVector([[-0.3, 0.3], [1.2, -1.2]])
+    scores = np.array([tilt.inner(a) for a in dist.atoms])
+    w = np.array(dist.weights) * np.exp(scores)
+    w /= w.sum()
+    got = dist.sample_indices(np.random.default_rng(4), (300, 401), weights=w)
+    want = searchsorted_indices(dist, np.random.default_rng(4), (300, 401), weights=w)
+    np.testing.assert_array_equal(got, want)
+    # a weight underflowed to zero by a tilt never draws its atom
+    got = dist.sample_indices(np.random.default_rng(4), 1000, weights=[0.0, 1.0])
+    assert (got == 1).all()
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0],                  # too short: would draw only atom 0
+    [0.2, 0.3, 0.5],        # too long: would draw index 2, which does not exist
+    [3.0, 1.0],             # sums to 4
+    [np.nan, 1.0],          # not finite
+    [np.inf, 1.0],
+    [-0.5, 1.5],            # negative, though summing to 1
+])
+def test_sample_indices_rejects_bad_weights(dist, weights):
+    with pytest.raises(InvalidArgumentError):
+        dist.sample_indices(np.random.default_rng(0), 10, weights=weights)
+
+
+@pytest.mark.parametrize("n", [20, 160])
+def test_event_distances_2x2_match_stacked_loop(dist, n):
+    # the 2x2 products compose pairwise, within 1e-15 per step of the chain
+    event = BallEvent(exp_matrix(line_x(0.8)), 0.03)
+    idx = dist.sample_indices(np.random.default_rng(9), (2000, n))
+    got = _event_distances(dist, n, event, idx)
+    step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
+    out = np.linalg.inv(event.center.entries)[None].repeat(2000, axis=0)
+    for j in range(n):
+        out = out @ step_mats[idx[:, j]]
+    np.testing.assert_allclose(got, stoch2_log_norms(out), rtol=0, atol=1e-15 * n)
