@@ -139,40 +139,18 @@ class LinearOperator:
     def apply_coords(self, c: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(c, dtype=np.float64)
 
-    def norm(self, iters: int = 30, tol: float = 1e-12) -> float:
-        """Operator norm (largest singular value) by power iteration on M^T M."""
-        return operator_norm(self.matrix, iters=iters, tol=tol)
-
-    def norm_svd(self) -> float:
-        """Exact operator norm via dense SVD; used by tests to cross-check."""
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
+    def norm(self) -> float:
+        """Operator norm (largest singular value), bounded from above; see operator_norm."""
+        return operator_norm(self.matrix)
 
 
-def operator_norm(m: np.ndarray, iters: int = 30, tol: float = 1e-12) -> float:
-    """Largest singular value: power iteration on M^T M, deterministic start.
-
-    Near-degenerate top singular pairs make fixed-count power iteration
-    arbitrarily slow, so when the Rayleigh increments have not dropped below
-    tol relative to the quotient by the last iteration the exact symmetric
-    eigenvalue of the small Gram matrix is returned instead.  The stop is
-    relative so that small operators are not cut off at their first quotient.
-    """
+def operator_norm(m: np.ndarray):
+    """Largest singular value of one matrix (a float) or of each of a (..., D, D) stack,
+    raised by 1 + 4 D eps to bound it from above: against mpmath at 40 digits,
+    plain SVD understates ad operators at D = 2 to 12 by up to 2.7 eps."""
     m = np.asarray(m, dtype=np.float64)
-    v = 1.0 + 0.01 * np.arange(m.shape[1])
-    v /= np.linalg.norm(v)
-    mtm = m.T @ m
-    lam = 0.0
-    for _ in range(iters):
-        w = mtm @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (mtm @ v_new))
-        if abs(lam_new - lam) <= tol * lam_new:
-            return float(np.sqrt(max(lam_new, 0.0)))
-        v, lam = v_new, lam_new
-    return float(np.sqrt(max(np.linalg.eigvalsh(mtm)[-1], 0.0)))
+    top = np.linalg.svd(m, compute_uv=False)[..., 0] * (1 + 4 * m.shape[-1] * np.finfo(float).eps)
+    return float(top) if m.ndim == 2 else top
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +194,14 @@ def coords(x: AlgebraVector) -> np.ndarray:
     """Coordinates of x in the orthonormal basis for its dimension."""
     stack = _basis_stack(x.dim)
     return stack.reshape(stack.shape[0], -1) @ x.entries.ravel()
+
+
+def _ball_coords(d: int, radius: float, rng: np.random.Generator,
+                 surface: bool = False) -> np.ndarray:
+    """Coordinates of a random direction, norm uniform on [0, radius] (radius if surface)."""
+    c = rng.standard_normal(algebra_dim(d))
+    r = radius if surface else rng.uniform(0.0, radius)
+    return c * (r / np.linalg.norm(c))
 
 
 def from_coords(c: np.ndarray, d: int) -> AlgebraVector:
@@ -398,14 +384,18 @@ def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(x.entries @ y.entries - y.entries @ x.entries)
 
 
+def _ad_stack(x: np.ndarray) -> np.ndarray:
+    """Ad matrices of a (..., d, d) stack, each in the basis of algebra_basis(d)."""
+    stack = _basis_stack(x.shape[-1])
+    x = x[..., None, :, :]
+    xb = x @ stack - stack @ x  # (..., D, d, d), bracket with each basis element
+    xb = np.swapaxes(xb.reshape(*xb.shape[:-2], -1), -1, -2)
+    return stack.reshape(len(stack), -1) @ xb  # column j = coords of [X, B_j]
+
+
 def ad_operator(x: AlgebraVector) -> LinearOperator:
     """Matrix of Y -> [X, Y] in the orthonormal basis of algebra_basis(d)."""
-    stack = _basis_stack(x.dim)
-    big = stack.shape[0]
-    flat = stack.reshape(big, -1)
-    xb = x.entries @ stack - stack @ x.entries  # (D, d, d), bracket with each basis el
-    m = flat @ xb.reshape(big, -1).T            # column j = coords of [X, B_j]
-    return LinearOperator(m)
+    return LinearOperator(_ad_stack(x.entries))
 
 
 def conjugate(g: GroupElement, x: AlgebraVector) -> AlgebraVector:
@@ -439,6 +429,16 @@ class InjectivityReport:
     passed: bool
 
 
+def _check_sampling(n_samples: int, radius: float, max_radius: float = np.inf) -> None:
+    """Reject fewer than one sample and a radius not positive, finite and in range."""
+    if n_samples < 1:
+        raise InvalidArgumentError(f"need at least one sample, got {n_samples}")
+    if not 0.0 < radius < np.inf:
+        raise InvalidArgumentError(f"radius must be positive and finite, got {radius}")
+    if radius > max_radius + 1e-12:
+        raise OutOfDomainError(f"radius {radius} exceeds {max_radius}")
+
+
 def validate_injectivity(d: int, eps: float = INJECTIVITY_EPS,
                          radius: float = INJECTIVITY_RADIUS,
                          n_samples: int = 200, seed: int = 0) -> InjectivityReport:
@@ -447,20 +447,16 @@ def validate_injectivity(d: int, eps: float = INJECTIVITY_EPS,
     Verifies that exp/log invert each other on the ball |X| <= radius and that
     group elements with ||g - I||_F <= eps have |log g| <= radius.
     """
+    _check_sampling(n_samples, radius)
     rng = np.random.default_rng(seed)
-    big = algebra_dim(d)
     max_rt = 0.0
     max_log = 0.0
-    count = 0
-    while count < n_samples:
-        c = rng.standard_normal(big)
-        c *= rng.uniform(0, radius) / np.linalg.norm(c)
-        x = from_coords(c, d)
+    for _ in range(n_samples):
+        x = from_coords(_ball_coords(d, radius, rng), d)
         g = exp_matrix(x)
         back = log_matrix(g)
         max_rt = max(max_rt, (back - x).norm)
         if np.linalg.norm(g.entries - np.eye(d)) <= eps:
             max_log = max(max_log, back.norm)
-        count += 1
     passed = max_rt < 1e-10 and max_log <= radius
     return InjectivityReport(d, eps, radius, n_samples, max_rt, max_log, passed)

@@ -24,6 +24,7 @@ from .errors import InvalidArgumentError, OutOfDomainError
 from .lie import (
     AlgebraVector,
     GroupElement,
+    _ball_coords,
     _expm,
     _frobenius_norms,
     _logm,
@@ -31,7 +32,6 @@ from .lie import (
     ad_operator,
     distance_proxy,
     from_coords,
-    algebra_dim,
 )
 
 POINT_STORAGE_LIMIT = 100_000  # keep all points up to this n, checkpoint above
@@ -199,7 +199,7 @@ def kappa_support(dist: IncrementDistribution) -> float:
     worst = 0.0
     for a in dist.atoms:
         if a.norm > 0:
-            worst = max(worst, ad_operator(a).norm_svd() / a.norm)
+            worst = max(worst, ad_operator(a).norm() / a.norm)
     return worst
 
 
@@ -262,17 +262,13 @@ def psi_m_continuity_check(xs, ys, r: float, c_emp: float) -> BoundCertificate:
 def estimate_continuity_constant(d: int, r: float, m: int, n_pairs: int,
                                  seed: int) -> float:
     """Empirical constant: max of d(Psi(x), Psi(y)) / sum |x_i - y_i| by sampling."""
-    big = algebra_dim(d)
     worst = 0.0
     for i in range(n_pairs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         xs, ys, gap = [], [], 0.0
         for _ in range(m):
-            c = rng.standard_normal(big)
-            c *= rng.uniform(0, r / m) / np.linalg.norm(c)
-            delta = rng.standard_normal(big)
-            delta *= rng.uniform(0, 0.2 * r / m) / np.linalg.norm(delta)
-            cy = c + delta
+            c = _ball_coords(d, r / m, rng)
+            cy = c + _ball_coords(d, 0.2 * r / m, rng)
             ny = np.linalg.norm(cy)
             if ny > r / m:
                 cy *= (r / m) / ny

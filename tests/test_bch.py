@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import liewalk.bch as bch
 from liewalk import (
+    InvalidArgumentError,
     OutOfDomainError,
     R_BCH,
     SeriesBudget,
@@ -19,8 +21,8 @@ from liewalk import (
     verify_lipschitz,
     verify_log_product,
 )
-from liewalk.bch import C_SERIES, SQRT2M1, sample_ball
-from liewalk.lie import ad_operator
+from liewalk.bch import C_SERIES, CERT_TOL, SQRT2M1, _pair_rng, sample_ball
+from liewalk.lie import _expm, ad_operator, validate_injectivity
 
 
 def rand_pair(rng, d, radius):
@@ -41,7 +43,7 @@ def test_f_operator_distance_to_identity_bound(rng):
         x = sample_ball(3, 0.5, rng)
         op = f_operator(x)
         dev = np.linalg.norm(op.matrix - np.eye(op.dim), 2)
-        assert dev <= np.expm1(ad_operator(x).norm_svd()) + 1e-12
+        assert dev <= np.expm1(np.linalg.svd(ad_operator(x).matrix, compute_uv=False)[0]) + 1e-12
 
 
 def test_f_operator_inverts_log_curve_derivative(rng):
@@ -222,8 +224,144 @@ def test_radius_report():
 
 
 def test_operator_norm_hot_path_vs_svd(rng):
-    # the power-iteration norm used by certificates agrees with dense SVD
+    # the norm used by certificates agrees with a plain dense SVD
     for _ in range(20):
         x = sample_ball(3, rng.uniform(0.05, 0.5), rng)
         op = ad_operator(x)
-        assert op.norm() == pytest.approx(op.norm_svd(), abs=1e-10)
+        assert op.norm() == pytest.approx(np.linalg.svd(op.matrix, compute_uv=False)[0],
+                                          abs=1e-10)
+
+
+def test_ad_norm_bounds_svd_at_criterion_3_pair():
+    # pair 8617 of criterion 3's d = 3 suite, where power iteration settled
+    # on the second singular value, 0.84% low
+    x = sample_ball(3, R_BCH, _pair_rng(7, 8617))
+    op = ad_operator(x)
+    assert op.norm() >= np.linalg.svd(op.matrix, compute_uv=False)[0]
+
+
+# ---------------------------------------------------------------------------
+# stacked suites against per-pair loops with the SVD norm
+
+NORM_TOL = 1e-15      # |X|, |Y| and lhs, absolute
+AD_REL = 1e-13        # ad_norm and rhs, relative to the SVD loop
+CONTRACTION_REL = 1e-12
+
+
+def svd_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def loop_rows(d, radius, indices, seed):
+    for i in indices:
+        rng = _pair_rng(seed, i)
+        x = sample_ball(d, radius, rng)
+        y = sample_ball(d, radius, rng)
+        ad_norm = svd_norm(ad_operator(x).matrix)
+        lhs = (log_matrix(exp_matrix(x) @ exp_matrix(y)) - x - y).norm
+        rhs = c_constant(ad_norm) * y.norm
+        yield (i, x.norm, y.norm, ad_norm, lhs, rhs, bool(lhs <= rhs + CERT_TOL))
+
+
+def loop_contraction(d, radius, n_samples, seed):
+    worst = 0.0
+    for i in range(n_samples):
+        rng = _pair_rng(seed, i)
+        x = sample_ball(d, radius, rng, surface=True)
+        y = sample_ball(d, radius, rng, surface=True)
+        wx = _expm(ad_operator(x).matrix)
+        ad_y = ad_operator(y).matrix
+        for s in (0.25, 0.5, 0.75, 1.0):
+            w = wx @ _expm(s * ad_y)
+            worst = max(worst, svd_norm(w - np.eye(w.shape[0])))
+    return worst
+
+
+def loop_lipschitz(d, radius, n_pairs, seed):
+    worst = 0.0
+    for i in range(n_pairs):
+        rng = _pair_rng(seed, i)
+        x = sample_ball(d, radius, rng)
+        y = sample_ball(d, radius, rng)
+        gap = (x - y).norm
+        if gap >= 1e-12:
+            worst = max(worst, log_matrix(exp_matrix(x) @ exp_matrix(-y)).norm / gap)
+    return worst
+
+
+def assert_rows_match(rows, refs):
+    for row, ref in zip(rows, refs, strict=True):
+        assert all(type(v) is type(w) for v, w in zip(row, ref))
+        assert row[0] == ref[0]
+        assert row[1:3] == pytest.approx(ref[1:3], rel=0, abs=NORM_TOL)
+        assert ref[3] <= row[3] == pytest.approx(ref[3], rel=AD_REL, abs=0)
+        assert row[4] == pytest.approx(ref[4], rel=0, abs=NORM_TOL)
+        assert row[5] == pytest.approx(ref[5], rel=AD_REL, abs=0)
+        assert row[6] == ref[6]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_log_product_rows_match_loop_across_a_block_edge(d):
+    n = bch._BLOCK + 1
+    picked = [0, 1, n // 2, n - 2, n - 1]
+    rows = list(run_log_product_suite(d, R_BCH, n, seed=4))
+    assert [r[0] for r in rows] == list(range(n))
+    assert_rows_match([rows[i] for i in picked], loop_rows(d, R_BCH, picked, 4))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_suites_match_loops_across_a_block_edge(monkeypatch, d):
+    monkeypatch.setattr(bch, "_BLOCK", 16)
+    rep = validate_bch_radius(d, R_BCH, n_samples=17, seed=6)
+    want = loop_contraction(d, R_BCH, 17, 6)
+    assert want <= rep.max_contraction_norm == pytest.approx(want, rel=CONTRACTION_REL, abs=0)
+    assert empirical_lipschitz_constant(d, R_BCH, 17, seed=6) == pytest.approx(
+        loop_lipschitz(d, R_BCH, 17, 6), rel=AD_REL, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_suites_do_not_depend_on_the_block_size(monkeypatch, d):
+    def outputs():
+        return (list(run_log_product_suite(d, R_BCH, 50, seed=2)),
+                validate_bch_radius(d, R_BCH, n_samples=50, seed=2),
+                empirical_lipschitz_constant(d, R_BCH, 50, seed=2))
+
+    default = outputs()
+    monkeypatch.setattr(bch, "_BLOCK", 7)
+    assert outputs() == default
+
+
+def test_pass_flags_match_loop_on_criterion_3_suites():
+    # a flag can differ from the SVD loop's only where lhs - rhs - CERT_TOL
+    # is within the row tolerances of zero; recompute those pairs in the loop
+    for d in (2, 3):
+        rows = list(run_log_product_suite(d, 0.2, 10_000, seed=7))
+        close = [r for r in rows if abs(r[5] + CERT_TOL - r[4]) <= 2 * NORM_TOL + AD_REL * r[5]]
+        assert_rows_match(close, loop_rows(d, 0.2, [r[0] for r in close], 7))
+        assert all(r[6] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# suite arguments
+
+SUITES = [
+    lambda n, r: list(run_log_product_suite(2, r, n, seed=0)),
+    lambda n, r: validate_bch_radius(2, r, n_samples=n, seed=0),
+    lambda n, r: empirical_lipschitz_constant(2, r, n, seed=0),
+    lambda n, r: validate_injectivity(2, radius=r, n_samples=n, seed=0),
+]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("n, radius", [(0, 0.1), (-3, 0.1), (5, 0.0), (5, -0.1),
+                                       (5, np.inf), (5, np.nan)])
+def test_suites_reject_empty_samples_and_bad_radii(suite, n, radius):
+    with pytest.raises(InvalidArgumentError):
+        suite(n, radius)
+
+
+def test_log_product_suites_reject_radii_past_r_bch():
+    with pytest.raises(OutOfDomainError):
+        run_log_product_suite(2, 0.5, 10, seed=0)     # raises at the call
+    with pytest.raises(OutOfDomainError):
+        empirical_lipschitz_constant(2, 0.5, 10, seed=0)

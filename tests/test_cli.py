@@ -198,3 +198,22 @@ def test_bad_matrix_file_is_numeric_error(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify-bounds", "--pairs", "-3"], "InvalidArgumentError"),
+    (["verify-bounds", "--radius", "0.5", "--pairs", "10"], "OutOfDomainError"),
+    (["exp-log-selftest", "--dims", "2", "--samples", "-5"], "InvalidArgumentError"),
+])
+def test_suites_that_would_certify_nothing_are_numeric_errors(argv, error, capsys):
+    assert main(argv + ["--strict"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == error
+
+
+def test_verify_bounds_csv_prints_pass_flags_as_digits(tmp_path):
+    csv = tmp_path / "vb.csv"
+    assert main(["verify-bounds", "--pairs", "3", "--out-json", str(tmp_path / "vb.json"),
+                 "--out-csv", str(csv)]) == 0
+    assert [line.rsplit(",", 1)[1] for line in csv.read_text().splitlines()[1:]] == ["1"] * 3

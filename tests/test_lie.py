@@ -23,7 +23,7 @@ from liewalk import (
     log_matrix,
     validate_injectivity,
 )
-from liewalk.lie import _expm, algebra_dim, operator_norm
+from liewalk.lie import _ad_stack, _expm, algebra_dim, operator_norm
 from liewalk.serialize import algebra_from_jsonable, group_from_jsonable, matrix_to_jsonable
 
 
@@ -210,25 +210,27 @@ def test_ad_zero_operator():
 def test_ad_homogeneity(rng):
     x = random_algebra(rng, 3, 0.8)
     for c in (-3.0, 0.5, 7.0):
-        assert ad_operator(c * x).norm_svd() == pytest.approx(
-            abs(c) * ad_operator(x).norm_svd(), rel=1e-12)
+        assert np.linalg.svd(ad_operator(c * x).matrix, compute_uv=False)[0] == pytest.approx(
+            abs(c) * np.linalg.svd(ad_operator(x).matrix, compute_uv=False)[0], rel=1e-12)
 
 
 def test_ad_norm_matches_svd_oracle(rng):
     for _ in range(30):
         x = random_algebra(rng, 3, rng.uniform(0.1, 2.0))
         op = ad_operator(x)
-        assert abs(op.norm() - op.norm_svd()) < 1e-10
+        assert abs(op.norm() - np.linalg.svd(op.matrix, compute_uv=False)[0]) < 1e-10
 
 
 def test_ad_norm_lipschitz_in_norm(rng):
     # measure kappa_d once by SVD sweep, then check ||ad_X|| <= kappa |X|
     for d in (2, 3):
-        kappa = max(ad_operator(random_algebra(rng, d, 1.0)).norm_svd()
+        kappa = max(np.linalg.svd(ad_operator(random_algebra(rng, d, 1.0)).matrix,
+                                  compute_uv=False)[0]
                     for _ in range(300))
         for _ in range(100):
             x = random_algebra(rng, d, rng.uniform(0.01, 3.0))
-            assert ad_operator(x).norm_svd() <= kappa * x.norm * (1 + 1e-9)
+            assert (np.linalg.svd(ad_operator(x).matrix, compute_uv=False)[0]
+                    <= kappa * x.norm * (1 + 1e-9))
 
 
 def test_operator_norm_power_iteration(rng):
@@ -337,12 +339,34 @@ def test_deserializer_names_violated_constraint():
 
 
 def test_operator_norm_small_operators(rng):
-    # the power-iteration stop is relative, so tiny operators are not cut off
-    # at their first Rayleigh quotient
+    # tiny operators get their full norm, not a truncated iterate
     for scale in (3e-7, 1e-9):
         for _ in range(10):
             op = ad_operator(random_algebra(rng, 3, scale))
-            assert op.norm() == pytest.approx(op.norm_svd(), rel=1e-9)
+            assert op.norm() == pytest.approx(np.linalg.svd(op.matrix, compute_uv=False)[0],
+                                              rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ad_stack_bit_identical_to_ad_operator(rng, d):
+    xs = np.array([random_algebra(rng, d, scale).entries
+                   for scale in 10.0 ** rng.uniform(-9, 0.5, 24)])
+    looped = np.array([ad_operator(AlgebraVector(x)).matrix for x in xs])
+    assert np.array_equal(_ad_stack(xs), looped)
+    assert np.array_equal(_ad_stack(xs.reshape(4, 6, d, d)).reshape(looped.shape), looped)
+    norms = operator_norm(looped)
+    assert norms.shape == (24,)
+    assert np.array_equal(norms, [ad_operator(AlgebraVector(x)).norm() for x in xs])
+
+
+def test_operator_norm_bounds_40_digit_svd_from_above(rng):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for d in (2, 3):
+            for scale in np.geomspace(1e-9, 0.5, 100):
+                m = ad_operator(random_algebra(rng, d, scale)).matrix
+                exact = max(mpmath.svd_r(mpmath.matrix(m.tolist()), compute_uv=False))
+                assert operator_norm(m) >= exact
 
 
 # ---------------------------------------------------------------------------
