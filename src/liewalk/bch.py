@@ -215,7 +215,7 @@ def _pair_blocks(d: int, radius: float, n_pairs: int, seed: int, surface: bool =
 def _log_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log(exp X exp Y) for each pair of two (k, d, d) stacks."""
     e = _expm(np.stack((x, y), axis=1))
-    z, ok = _logm_stack(e[:, 0] @ e[:, 1])
+    z, ok, _ = _logm_stack(e[:, 0] @ e[:, 1])
     if not ok.all():
         raise OutOfDomainError("matrix outside the principal-log domain")
     return z

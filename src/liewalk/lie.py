@@ -22,7 +22,6 @@ from .errors import (
     InvalidArgumentError,
     InvalidDimensionError,
     MembershipError,
-    NonConvergenceError,
     OutOfDomainError,
     SingularMatrixError,
 )
@@ -271,102 +270,100 @@ def exp_matrix(x: AlgebraVector) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# matrix logarithm: inverse scaling and squaring
+# matrix logarithm: inverse scaling and squaring, on stacks
 
-def _sqrtm_db(a: np.ndarray, max_iter: int = 80, tol: float = 1e-14) -> np.ndarray:
-    """Principal square root by Denman-Beavers iteration."""
-    y = a.copy()
-    z = np.eye(a.shape[0])
+def _sqrtm_db(a: np.ndarray, max_iter: int = 80, tol: float = 1e-14):
+    """Principal square roots of a (n, d, d) stack by Denman-Beavers iteration.
+
+    Returns (roots, reasons): reasons maps each matrix without a root to why,
+    and its root is NaN.  Each matrix stops where the iteration on it alone
+    stops.  One inverse per step serves both iterates of every live matrix,
+    or each matrix in turn when one of them is singular.
+    """
+    yz = np.stack((a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)), axis=1)
+    roots, reasons, live = np.full(a.shape, np.nan), {}, np.arange(len(a))
     for _ in range(max_iter):
         try:
-            yi = np.linalg.inv(y)
-            zi = np.linalg.inv(z)
-        except np.linalg.LinAlgError as exc:
-            raise OutOfDomainError(f"square root iteration hit a singular iterate: {exc}")
-        y_next = 0.5 * (y + zi)
-        z_next = 0.5 * (z + yi)
-        delta = np.linalg.norm(y_next - y)
-        y, z = y_next, z_next
-        if delta <= tol * max(1.0, np.linalg.norm(y)):
-            return y
-        if not np.all(np.isfinite(y)):
-            raise OutOfDomainError("square root iteration diverged (matrix outside principal-log domain)")
-    raise NonConvergenceError("Denman-Beavers square root did not converge")
+            inv = np.linalg.inv(yz)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(yz, np.nan)  # a singular row diverges below, keeping its reason
+            for j, i in enumerate(live.tolist()):
+                try:
+                    inv[j] = np.linalg.inv(yz[j])
+                except np.linalg.LinAlgError as exc:
+                    reasons[i] = f"square root iteration hit a singular iterate: {exc}"
+        nxt = 0.5 * (yz + inv[:, ::-1])  # y <- (y + z^-1) / 2, z <- (z + y^-1) / 2
+        y = nxt[:, 0]
+        done = _frobenius_norms(y - yz[:, 0]) <= tol * np.fmax(1.0, _frobenius_norms(y))
+        stop = done | ~np.isfinite(y).all(axis=(1, 2))
+        roots[live[done]] = y[done]
+        for i in live[stop & ~done].tolist():
+            reasons.setdefault(i, "square root iteration diverged (matrix outside principal-log domain)")
+        yz, live = nxt[~stop], live[~stop]
+        if not live.size:
+            break
+    reasons.update(dict.fromkeys(live.tolist(), "matrix outside the principal-log domain: "
+                                 "Denman-Beavers square root did not converge"))
+    return roots, reasons
 
 
-def _logm(g: np.ndarray, max_sqrt: int = 60) -> np.ndarray:
-    a = g.copy()
-    d = g.shape[0]
-    ident = np.eye(d)
-    k = 0
-    while np.linalg.norm(a - ident) >= _MERCATOR_SWITCH:
-        if k >= max_sqrt:
-            raise OutOfDomainError(
-                "matrix logarithm: square-root reduction did not contract "
-                f"(||g - I|| = {np.linalg.norm(a - ident):.3e} after {k} roots)")
-        try:
-            a = _sqrtm_db(a)
-        except NonConvergenceError as exc:
-            raise OutOfDomainError(f"matrix outside the principal-log domain: {exc}")
-        k += 1
+def _logm_stack(g: np.ndarray, max_sqrt: int = 60):
+    """Principal logarithm of each matrix of a (n, d, d) stack.
+
+    Returns (logs, ok, reasons).  A matrix takes k square roots until
+    a = g^(1/2^k) has ||a - I||_F < _MERCATOR_SWITCH, and its log is 2^k times
+    the Mercator series log(I + E) = sum_m (-1)^{m+1} E^m / m, E = a - I, up to
+    the first m >= 2 whose tail bound ||E||^{m+1} / ((m+1)(1 - ||E||)) is below
+    1e-17, or m = 81.  Where a matrix has no principal log, or is not that close
+    to I after max_sqrt roots, ok is False, its log is NaN and reasons[i] says why.
+    """
+    ident = np.eye(g.shape[-1])
+    a = np.array(g, dtype=np.float64)
     e = a - ident
-    norm_e = np.linalg.norm(e)
-    # Mercator series log(I + E) = sum (-1)^{m+1} E^m / m, tail bound
-    # ||tail_M|| <= ||E||^{M+1} / ((M+1)(1 - ||E||))
-    total = e.copy()
-    term = e.copy()
-    m = 1
-    while True:
+    norm_e = _frobenius_norms(e)
+    k = np.zeros(len(a), dtype=np.int64)
+    reasons = {}
+    live = np.nonzero(norm_e >= _MERCATOR_SWITCH)[0]
+    while live.size:  # every live matrix has taken the same number of roots
+        if k[live[0]] >= max_sqrt:
+            for i in live.tolist():
+                reasons[i] = ("matrix logarithm: square-root reduction did not contract "
+                              f"(||g - I|| = {norm_e[i]:.3e} after {k[i]} roots)")
+            break
+        a[live], why = _sqrtm_db(a[live])
+        reasons.update((int(live[j]), msg) for j, msg in why.items())
+        e[live] = a[live] - ident
+        norm_e[live] = _frobenius_norms(e[live])
+        k[live] += 1
+        live = live[norm_e[live] >= _MERCATOR_SWITCH]  # NaN rows (no root) drop out
+    ok = np.ones(len(a), dtype=bool)
+    if reasons:
+        ok[list(reasons)] = False
+        e[~ok] = norm_e[~ok] = 0.0  # a one-term series; their logs are set to NaN below
+    logs = np.empty_like(e)
+    rows, total, term, gap, m = np.arange(len(a)), e.copy(), e, 1.0 - norm_e, 1
+    while rows.size:  # a matrix leaves the series where its tail bound says
         m += 1
         term = term @ e
         total += ((-1.0) ** (m + 1) / m) * term
-        tail = norm_e ** (m + 1) / ((m + 1) * (1.0 - norm_e))
-        if tail < 1e-17 or m > 80:
-            break
-    return total * (2.0 ** k)
+        stop = (norm_e ** (m + 1) / ((m + 1) * gap) < 1e-17) | (m > 80)
+        if stop.any():
+            logs[rows[stop]] = total[stop] * np.ldexp(1.0, k[stop])[:, None, None]
+            if stop.all():
+                break
+            rows, e, term, total, norm_e, gap, k = (
+                v[~stop] for v in (rows, e, term, total, norm_e, gap, k))
+    if reasons:
+        logs[~ok] = np.nan
+    return logs, ok, reasons
 
 
-def _logm_near_identity(g: np.ndarray):
-    """_logm on the matrices of a (n, d, d) stack that take no square root.
-
-    Returns (near, logs): the mask of matrices with ||g - I||_F below
-    _MERCATOR_SWITCH and their logs, from one Mercator series in which each
-    matrix stops where its own tail bound does, as _logm stops on it alone.
-    """
-    e = g - np.eye(g.shape[-1])
-    norm_e = _frobenius_norms(e)
-    near = norm_e < _MERCATOR_SWITCH
-    e, norm_e = e[near], norm_e[near]
-    total = e.copy()
-    term = e.copy()
-    live = np.arange(len(e))
-    m = 1
-    while live.size:
-        m += 1
-        term[live] = term[live] @ e[live]
-        total[live] += ((-1.0) ** (m + 1) / m) * term[live]
-        tail = norm_e[live] ** (m + 1) / ((m + 1) * (1.0 - norm_e[live]))
-        live = live[(tail >= 1e-17) & (m <= 80)]
-    return near, total
-
-
-def _logm_stack(g: np.ndarray):
-    """_logm on each matrix of a (n, d, d) stack, bit for bit.
-
-    Returns (logs, ok).  Matrices near the identity share one Mercator
-    series (_logm_near_identity); the rest go through _logm one by one.
-    Where _logm raises OutOfDomainError, ok is False and the log is NaN.
-    """
-    near, near_logs = _logm_near_identity(g)
-    logs = np.empty(g.shape)
-    logs[near] = near_logs
-    ok = np.ones(len(g), dtype=bool)
-    for i in np.flatnonzero(~near):
-        try:
-            logs[i] = _logm(g[i])
-        except OutOfDomainError:
-            logs[i], ok[i] = np.nan, False
-    return logs, ok
+def _logm(g: np.ndarray) -> np.ndarray:
+    """Principal log of one matrix: row 0 of a one-row _logm_stack, raising its reason."""
+    logs, ok, reasons = _logm_stack(g[None])
+    if not ok[0]:
+        raise OutOfDomainError(reasons[0])
+    return logs[0]
 
 
 def log_matrix(g: GroupElement) -> AlgebraVector:
@@ -449,14 +446,16 @@ def validate_injectivity(d: int, eps: float = INJECTIVITY_EPS,
     """
     _check_sampling(n_samples, radius)
     rng = np.random.default_rng(seed)
-    max_rt = 0.0
-    max_log = 0.0
-    for _ in range(n_samples):
-        x = from_coords(_ball_coords(d, radius, rng), d)
-        g = exp_matrix(x)
-        back = log_matrix(g)
-        max_rt = max(max_rt, (back - x).norm)
-        if np.linalg.norm(g.entries - np.eye(d)) <= eps:
-            max_log = max(max_log, back.norm)
+    c = np.array([_ball_coords(d, radius, rng) for _ in range(n_samples)])
+    basis = _basis_stack(d)
+    # one vector-matrix product per sample, summed as from_coords sums it
+    x = (c[:, None] @ basis.reshape(len(basis), -1)).reshape(n_samples, d, d)
+    g = _expm(x)
+    back, ok, reasons = _logm_stack(g)
+    if not ok.all():
+        raise OutOfDomainError(reasons[int(np.argmin(ok))])
+    max_rt = float(_frobenius_norms(back - x).max())
+    inside = _frobenius_norms(g - np.eye(d)) <= eps
+    max_log = float(_frobenius_norms(back[inside]).max(initial=0.0))
     passed = max_rt < 1e-10 and max_log <= radius
     return InjectivityReport(d, eps, radius, n_samples, max_rt, max_log, passed)

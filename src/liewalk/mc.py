@@ -95,7 +95,7 @@ def _event_distances(dist, n, event, idx):
     end = indexed_products(step_mats, idx, center_inv)
     if dist.dim == 2:
         return stoch2_log_norms(end)
-    logs, ok = _logm_stack(end)
+    logs, ok, _ = _logm_stack(end)
     return np.where(ok, _frobenius_norms(logs), np.inf)
 
 

@@ -48,7 +48,7 @@ from .lie import (
     GroupElement,
     _expm,
     _logm,
-    _logm_near_identity,
+    _logm_stack,
     log_matrix,
 )
 
@@ -258,22 +258,16 @@ def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
 def _penalties(prods: np.ndarray, g: np.ndarray) -> np.ndarray:
     """_penalty of every matrix of a (..., d, d) stack, bit for bit.
 
-    One solve covers the stack.  Matrices whose relative displacement takes
-    no square root in _logm share one Mercator series; the others go through
-    _penalty one by one, and so does every matrix of a stack that the solve
-    finds singular.
+    One solve and one stacked log cover the stack; a stack that the solve
+    finds singular goes through _penalty one matrix at a time.
     """
     flat = prods.reshape(-1, *prods.shape[-2:])
     try:
         rel = np.linalg.solve(flat, g)
     except np.linalg.LinAlgError:
         return np.array([_penalty(p, g) for p in flat]).reshape(prods.shape[:-2])
-    near, lg = _logm_near_identity(rel)
-    out = np.empty(len(flat))
-    out[near] = np.sum(lg * lg, axis=(-2, -1))
-    for i in np.flatnonzero(~near):
-        out[i] = _penalty(flat[i], g)
-    return out.reshape(prods.shape[:-2])
+    lg, ok, _ = _logm_stack(rel)
+    return np.where(ok, np.sum(lg * lg, axis=(-2, -1)), np.inf).reshape(prods.shape[:-2])
 
 
 def _off_determinant_line(geom: SupportGeometry, g: np.ndarray) -> bool:

@@ -110,16 +110,13 @@ class WalkTrajectory:
 def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
     """Logs of a (n, d, d) stack, raising at the first matrix without one.
 
-    The OutOfDomainError carries _logm's message after context(i), where i
-    is the matrix's 1-based position in the stack.
+    The OutOfDomainError carries that matrix's reason from _logm_stack after
+    context(i), where i is the matrix's 1-based position in the stack.
     """
-    logs, ok = _logm_stack(mats)
+    logs, ok, reasons = _logm_stack(mats)
     if not ok.all():
         i = int(np.argmin(ok))
-        try:
-            _logm(mats[i])
-        except OutOfDomainError as exc:
-            raise OutOfDomainError(f"{context(i + 1)}{exc}")
+        raise OutOfDomainError(f"{context(i + 1)}{reasons[i]}")
     return logs
 
 

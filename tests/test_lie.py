@@ -23,8 +23,18 @@ from liewalk import (
     log_matrix,
     validate_injectivity,
 )
-from liewalk.lie import _ad_stack, _expm, algebra_dim, operator_norm
+from liewalk.lie import (
+    _ad_stack,
+    _ball_coords,
+    _basis_stack,
+    _expm,
+    _logm,
+    _logm_stack,
+    algebra_dim,
+    operator_norm,
+)
 from liewalk.serialize import algebra_from_jsonable, group_from_jsonable, matrix_to_jsonable
+from logm_reference import logm as reference_logm
 
 
 def random_algebra(rng, d, radius):
@@ -380,3 +390,87 @@ def test_expm_stack_bit_identical_to_loop(rng, d):
     mats *= (norms / np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
     stacked = _expm(mats.reshape(8, -1, d, d)).reshape(mats.shape)
     assert np.array_equal(stacked, np.array([_expm(m) for m in mats]))
+
+
+# ---------------------------------------------------------------------------
+# stacked logarithm
+
+# matrices without a principal log: singular, and with the eigenvalue -0.7
+NO_LOG = {2: [[[0.5, 0.5], [0.5, 0.5]], [[0.2, 0.8], [0.9, 0.1]]],
+          3: [np.full((3, 3), 1 / 3), [[0.2, 0.8, 0.0], [0.9, 0.1, 0.0], [0.0, 0.0, 1.0]]]}
+
+
+def mixed_log_stack(rng, d):
+    """exp of ball samples near I (|X| <= 0.2), beyond the Mercator switch
+    (|X| <= 2.1) and five or more roots out (|X| = 8), with the two matrices
+    without a log between them."""
+    def ball(radius, n, surface=False):
+        c = np.array([_ball_coords(d, radius, rng, surface) for _ in range(n)])
+        return _expm(np.tensordot(c, _basis_stack(d), axes=1))
+    singular, negative = np.array(NO_LOG[d], dtype=float)
+    return np.concatenate([ball(0.2, 30), [singular], ball(2.1, 30), [negative],
+                           ball(8.0, 10, surface=True)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("max_sqrt", [60, 3])
+def test_logm_stack_rows_match_the_per_matrix_log(rng, d, max_sqrt):
+    mats = mixed_log_stack(rng, d)
+    logs, ok, reasons = _logm_stack(mats, max_sqrt)
+    assert set(reasons) == set(np.flatnonzero(~ok).tolist())
+    for i, g in enumerate(mats):
+        try:
+            ref = reference_logm(g, max_sqrt)
+        except OutOfDomainError as exc:
+            assert not ok[i] and reasons[i] == str(exc)
+            assert np.isnan(logs[i]).all()
+            continue
+        assert ok[i]
+        assert np.array_equal(logs[i], ref)
+    # the singular iterate, Denman-Beavers non-convergence and, under the
+    # reduced cap, the square-root count each fail their rows
+    kinds = {"singular iterate", "did not converge", "did not contract"}
+    seen = {k for k in kinds if any(k in msg for msg in reasons.values())}
+    assert seen == (kinds if max_sqrt == 3 else kinds - {"did not contract"})
+    assert ok[:30].all()
+    if max_sqrt == 60:
+        assert np.flatnonzero(~ok).tolist() == [30, 61]
+
+
+def test_logm_is_one_row_of_the_stack(rng):
+    mats = mixed_log_stack(rng, 2)
+    logs, ok, reasons = _logm_stack(mats)
+    for i, g in enumerate(mats):
+        if ok[i]:
+            assert np.array_equal(_logm(g), logs[i])
+        else:
+            with pytest.raises(OutOfDomainError) as info:
+                _logm(g)
+            assert str(info.value) == reasons[i]
+
+
+def test_logm_stack_bad_rows_leave_the_others_unchanged(rng):
+    mats = mixed_log_stack(rng, 2)
+    logs, ok, _ = _logm_stack(mats)
+    # the singular row makes the stacked inverse raise, and that step then
+    # inverts every matrix on its own
+    assert not ok[30] and not ok[61]
+    alone, ok_alone, _ = _logm_stack(mats[ok])
+    assert ok_alone.all()
+    assert np.array_equal(logs[ok], alone)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_injectivity_report_matches_a_per_sample_loop(d):
+    # radius 2.1: most samples take square roots before the Mercator series
+    rng = np.random.default_rng(5)
+    max_rt = max_log = 0.0
+    for _ in range(300):
+        x = from_coords(_ball_coords(d, 2.1, rng), d).entries
+        g = _expm(x)
+        back = reference_logm(g)
+        max_rt = max(max_rt, float(np.linalg.norm(back - x)))
+        if np.linalg.norm(g - np.eye(d)) <= 0.4:
+            max_log = max(max_log, float(np.linalg.norm(back)))
+    report = validate_injectivity(d, radius=2.1, n_samples=300, seed=5)
+    assert (report.max_roundtrip_error, report.max_log_norm) == (max_rt, max_log)

@@ -16,8 +16,9 @@ from liewalk import (
     wilson_interval,
 )
 from liewalk._kernels import indexed_products, stoch2_log_norms
-from liewalk.lie import GroupElement, _expm, _logm
+from liewalk.lie import GroupElement, _expm
 from liewalk.mc import _event_distances
+from logm_reference import logm as reference_logm
 
 
 def line_x(c):
@@ -206,7 +207,7 @@ def test_event_distances_3x3_match_logm_loop():
     looped = []
     for m in indexed_products(step_mats, idx, np.eye(3)):
         try:
-            looped.append(np.linalg.norm(_logm(m)))
+            looped.append(np.linalg.norm(reference_logm(m)))
         except OutOfDomainError:
             looped.append(np.inf)
     np.testing.assert_array_equal(got, looped)

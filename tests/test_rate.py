@@ -7,6 +7,7 @@ from liewalk import (
     GroupElement,
     IncrementDistribution,
     InvalidArgumentError,
+    OutOfDomainError,
     SampledPath,
     closed_form_rate_s2,
     discretized_rate,
@@ -18,8 +19,9 @@ from liewalk import (
     rate_report,
     refinement_ladder,
 )
-from liewalk.lie import _expm, _logm
-from liewalk.rate import _penalties, _penalty
+from liewalk.lie import _expm
+from liewalk.rate import _penalties
+from logm_reference import logm as reference_logm
 
 
 def line_endpoint(c, alpha=1.0):
@@ -233,7 +235,7 @@ def exact_two_segment_scan(dist, g, grid=4001):
         mx1 = geom.xbar + t1 * geom.frame[0]
         first = _expm(mx1 / 2.0)
         try:
-            mx2 = 2.0 * _logm(np.linalg.solve(first, g.entries))
+            mx2 = 2.0 * reference_logm(np.linalg.solve(first, g.entries))
         except Exception:
             continue
         v1, _ = lstar_interior(geom, mx1)
@@ -340,7 +342,7 @@ def test_segment_log_matches_integral_decay(dist):
         worst = 0.0
         for i in range(1, m + 1):
             a, b = (i - 1) / m, i / m
-            seg_log = _logm(np.linalg.solve(path.point(a), path.point(b)))
+            seg_log = reference_logm(np.linalg.solve(path.point(a), path.point(b)))
             worst = max(worst, np.linalg.norm(
                 seg_log - quadrature_segment_integral(path, a, b)))
         scaled.append(m * worst)
@@ -354,7 +356,7 @@ def test_segment_log_exact_on_one_parameter_path():
         worst = 0.0
         for i in range(1, m + 1):
             a, b = (i - 1) / m, i / m
-            seg_log = _logm(np.linalg.solve(path.point(a), path.point(b)))
+            seg_log = reference_logm(np.linalg.solve(path.point(a), path.point(b)))
             worst = max(worst, np.linalg.norm(seg_log - u.entries / m))
         assert worst < 1e-12
 
@@ -378,6 +380,15 @@ def test_rate_report_triple(dist):
 # ---------------------------------------------------------------------------
 # stacked penalties, the determinant line, and values of the looped solver
 
+def reference_penalty(prod, g):
+    """|log(prod^-1 g)|_F^2 by the per-matrix reference log, inf without one."""
+    try:
+        lg = reference_logm(np.linalg.solve(prod, g))
+    except (OutOfDomainError, np.linalg.LinAlgError):
+        return float("inf")
+    return float(np.sum(lg * lg))
+
+
 def test_penalties_bit_identical_to_loop(rng):
     g, _ = line_endpoint(0.7)
     g = g.entries
@@ -386,12 +397,12 @@ def test_penalties_bit_identical_to_loop(rng):
     # rel = prod^-1 g with a negative eigenvalue has no principal log
     no_log = np.array([g @ np.linalg.inv(np.diag([-1.0, 2.0]))])
     prods = np.concatenate([near, far, no_log]).reshape(31, 1, 2, 2)
-    loop = np.array([_penalty(p, g) for p in prods[:, 0]]).reshape(31, 1)
+    loop = np.array([reference_penalty(p, g) for p in prods[:, 0]]).reshape(31, 1)
     assert np.isinf(loop[-1, 0]) and np.isfinite(loop[:20]).all()
     assert np.array_equal(_penalties(prods, g), loop)
     # a singular product fails the stacked solve: every matrix goes one by one
     singular = np.concatenate([near[:3], [[[1.0, 1.0], [1.0, 1.0]]]])
-    loop = np.array([_penalty(p, g) for p in singular])
+    loop = np.array([reference_penalty(p, g) for p in singular])
     assert np.isinf(loop[-1])
     assert np.array_equal(_penalties(singular, g), loop)
 

@@ -21,8 +21,9 @@ from liewalk import (
     simulate_walk,
     verify_lipschitz,
 )
-from liewalk.lie import GroupElement, _logm
+from liewalk.lie import GroupElement
 from liewalk.bch import sample_ball
+from logm_reference import logm as reference_logm
 
 
 def test_point_mass_walk_is_one_parameter():
@@ -183,7 +184,7 @@ def _looped_replacement(traj, m):
     worst, arg = -1.0, 0
     for k in range(1, k_max + 1):
         try:
-            lg = _logm(traj.point(k))
+            lg = reference_logm(traj.point(k))
         except OutOfDomainError as exc:
             raise OutOfDomainError(f"prefix log undefined at k={k}: {exc}")
         dev = float(np.linalg.norm(lg - cums[k - 1]))
@@ -195,7 +196,7 @@ def _looped_replacement(traj, m):
 def _looped_segment_logs(traj, m):
     block = traj.n // m
     bounds = [l * block for l in range(m)] + [traj.n]
-    return [_logm(np.linalg.solve(traj.point(lo), traj.point(hi)))
+    return [reference_logm(np.linalg.solve(traj.point(lo), traj.point(hi)))
             for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -222,7 +223,7 @@ def test_stacked_certificate_matches_loop_checkpointed(dist):
 
 def test_stacked_certificate_matches_loop_far_prefixes():
     # large atoms at small n: later prefixes lie beyond the Mercator switch
-    # and take _logm's square-root path, the first ones do not
+    # and take square roots before the Mercator series, the first ones do not
     traj = simulate_walk(example_model(3.0, 3.0).distribution(), 40, seed=39)
     offsets = np.linalg.norm(traj.points[1:] - np.eye(2), axis=(1, 2))
     assert offsets.min() < 0.25 <= offsets.max()
