@@ -29,8 +29,8 @@ from .lie import (
     LinearOperator,
     _ad_stack,
     _ball_coords,
-    _basis_stack,
     _check_sampling,
+    _coords_to_matrices,
     _expm,
     _frobenius_norms,
     _logm_stack,
@@ -208,7 +208,7 @@ def _pair_blocks(d: int, radius: float, n_pairs: int, seed: int, surface: bool =
     for start in range(0, n_pairs, _BLOCK):
         rngs = [_pair_rng(seed, i) for i in range(start, min(start + _BLOCK, n_pairs))]
         c = [[_ball_coords(d, radius, rng, surface) for _ in range(2)] for rng in rngs]
-        xy = np.tensordot(np.array(c), _basis_stack(d), axes=1)  # (k, 2, d, d)
+        xy = _coords_to_matrices(np.array(c), d)  # (k, 2, d, d)
         yield start, xy[:, 0], xy[:, 1]
 
 

@@ -2,13 +2,17 @@
 
 For a finitely supported law the log-MGF is everywhere finite and the
 conjugate sup_lambda <lambda, x> - Lambda(lambda) is finite exactly on the
-convex hull of the support.  Points are classified by linear programming
-(inside / boundary / outside, tolerance 1e-9); interior values come from a
-damped Newton iteration on the concave dual objective restricted to the
-affine hull of the support (the objective is unbounded in directions the
-support cannot see), and boundary values are computed on the minimal face
-with the original sub-probability weights, matching the limit value of the
-conjugate there.
+convex hull of the support.  Its values come from one damped Newton
+iteration on the concave dual objective restricted to the affine hull of
+the support (the objective is unbounded in directions the support cannot
+see), which works on stacks of points; _dual_newton is one row of it.
+legendre() classifies its point by linear programming (inside / boundary
+/ outside, tolerance 1e-9) and computes boundary values on the minimal
+face with the original sub-probability weights, matching the limit value
+of the conjugate there.  The path quadrature runs Newton first, on all its
+nodes at once (lstar_interior_stack), and leaves to these LPs only the
+points Newton does not settle as inside: off the hull, with a diverging
+dual, or near a face.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ from .lie import AlgebraVector, _frobenius_norms
 DOMAIN_TOL = 1e-9
 GRAD_TOL = 1e-8       # stationarity tolerance of the dual optimizer
 DIVERGENCE_NORM = 1e6
+SETTLED_WEIGHT = 1e-6  # least tilted atom weight of a point Newton settles as inside
 
 
 def log_mgf(dist: IncrementDistribution, lam: AlgebraVector) -> float:
@@ -78,24 +83,19 @@ def _support_geometry(dist: IncrementDistribution) -> SupportGeometry:
 # ---------------------------------------------------------------------------
 # domain classification by linear programming
 
+def _representation_lp(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, extra=None):
+    """linprog over atom weights nu >= 0 with sum nu = 1, then one more
+    variable with bounds extra when given."""
+    k = len(cost) - (extra is not None)
+    return linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=[np.r_[np.ones(k), np.zeros(len(cost) - k)]],
+                   b_eq=[1.0], bounds=[(0, None)] * k + ([extra] if extra else []), method="highs")
+
+
 def _lp_feasibility_slack(geom: SupportGeometry, t: np.ndarray) -> float:
     """Minimal sup-norm slack s with sum nu = 1, |A^T nu - t|_inf <= s, nu >= 0."""
-    k, r = geom.atom_coords.shape
-    # variables: nu_1..nu_k, s
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * r, k + 1))
-    b_ub = np.zeros(2 * r)
-    a_ub[:r, :k] = geom.atom_coords.T
-    a_ub[:r, -1] = -1.0
-    b_ub[:r] = t
-    a_ub[r:, :k] = -geom.atom_coords.T
-    a_ub[r:, -1] = -1.0
-    b_ub[r:] = -t
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * k + [(0, None)], method="highs")
+    a, ones = geom.atom_coords.T, np.ones((geom.rank, 1))
+    res = _representation_lp(np.r_[np.zeros(a.shape[1]), 1.0],      # variables nu, s
+                             np.block([[a, -ones], [-a, -ones]]), np.r_[t, -t], (0, None))
     if not res.success:
         raise NonConvergenceError(f"feasibility LP failed: {res.message}")
     return float(res.fun)
@@ -103,27 +103,12 @@ def _lp_feasibility_slack(geom: SupportGeometry, t: np.ndarray) -> float:
 
 def _lp_min_weight(geom: SupportGeometry, t: np.ndarray, tol: float) -> float:
     """Max over representations of the minimum atom weight (relative-interior test)."""
-    k, r = geom.atom_coords.shape
-    # variables: nu_1..nu_k, tmin ; maximize tmin
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    rows = []
-    rhs = []
-    rows.append(np.concatenate([geom.atom_coords.T, -np.zeros((r, 1))], axis=1))
-    rhs.append(t + tol)
-    rows.append(np.concatenate([-geom.atom_coords.T, -np.zeros((r, 1))], axis=1))
-    rhs.append(tol - t)
-    nu_rows = np.zeros((k, k + 1))
-    nu_rows[:, :k] = -np.eye(k)
-    nu_rows[:, -1] = 1.0
-    rows.append(nu_rows)           # tmin - nu_i <= 0
-    rhs.append(np.zeros(k))
-    a_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * k + [(None, None)], method="highs")
+    a, zeros = geom.atom_coords.T, np.zeros((geom.rank, 1))
+    k = a.shape[1]
+    # variables nu, tmin: maximize tmin subject to tmin - nu_i <= 0
+    res = _representation_lp(np.r_[np.zeros(k), -1.0],
+                             np.block([[a, zeros], [-a, zeros], [-np.eye(k), np.ones((k, 1))]]),
+                             np.r_[t + tol, tol - t, np.zeros(k)], (None, None))
     if not res.success:
         raise NonConvergenceError(f"interior LP failed: {res.message}")
     return float(-res.fun)
@@ -131,17 +116,10 @@ def _lp_min_weight(geom: SupportGeometry, t: np.ndarray, tol: float) -> float:
 
 def _lp_max_atom(geom: SupportGeometry, t: np.ndarray, tol: float, i: int) -> float:
     """Max of nu_i over representations of t (minimal-face membership test)."""
-    k, r = geom.atom_coords.shape
-    c = np.zeros(k)
-    c[i] = -1.0
-    a_ub = np.vstack([geom.atom_coords.T, -geom.atom_coords.T])
-    b_ub = np.concatenate([t + tol, tol - t])
-    a_eq = np.ones((1, k))
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * k, method="highs")
-    if not res.success:
-        return 0.0
-    return float(-res.fun)
+    a = geom.atom_coords.T
+    cost = np.where(np.arange(a.shape[1]) == i, -1.0, 0.0)
+    res = _representation_lp(cost, np.vstack([a, -a]), np.r_[t + tol, tol - t])
+    return float(-res.fun) if res.success else 0.0
 
 
 def domain_check(dist: IncrementDistribution, x: AlgebraVector,
@@ -191,67 +169,28 @@ class LegendreResult:
 def _dual_newton(atom_coords: np.ndarray, log_weights: np.ndarray,
                  target: np.ndarray, start: np.ndarray | None = None,
                  max_iter: int = 200):
-    """Maximize c . target - logsumexp(log_w + A c) by damped Newton.
+    """One target of _dual_newton_stack, from start (zeros by default).
 
-    Returns (value, c, grad_norm, iterations, converged).  Diverging iterates
-    (|c| beyond DIVERGENCE_NORM with the objective still climbing) report
-    converged=False, which callers interpret as an infinite conjugate.
+    Returns (value, c, grad_norm, iterations, converged) as Python scalars
+    and one (r,) array.
     """
-    k, r = atom_coords.shape
-    c = np.zeros(r) if start is None else start.copy()
-
-    def objective(cv):
-        logs = log_weights + atom_coords @ cv
-        top = logs.max()
-        lse = top + np.log(np.exp(logs - top).sum())
-        return float(cv @ target - lse), logs - lse
-
-    val, logp = objective(c)
-    grad_norm = np.inf
-    tie = 1e-14
-    for it in range(1, max_iter + 1):
-        p = np.exp(logp)
-        grad = target - p @ atom_coords
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= 0.01 * GRAD_TOL:
-            return val, c, grad_norm, it, True
-        mean = p @ atom_coords
-        cov = (atom_coords * p[:, None]).T @ atom_coords - np.outer(mean, mean)
-        mu = 1e-12 * max(1.0, float(np.trace(cov)) / max(r, 1))
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(cov + mu * np.eye(r), grad)
-                break
-            except np.linalg.LinAlgError:
-                mu *= 100.0
-        scale = 1.0
-        improved = False
-        strict = False
-        for _ in range(60):
-            cand = c + scale * step
-            cand_val, cand_logp = objective(cand)
-            # tie-tolerant: near the optimum value gains fall below float
-            # resolution while the polishing step still shrinks the gradient
-            if cand_val > val - tie * max(1.0, abs(val)):
-                strict = cand_val > val
-                c, val, logp = cand, cand_val, cand_logp
-                improved = True
-                break
-            scale *= 0.5
-        if not improved or (not strict and grad_norm <= GRAD_TOL):
-            return val, c, grad_norm, it, grad_norm <= GRAD_TOL
-        if np.linalg.norm(c) > DIVERGENCE_NORM:
-            return val, c, grad_norm, it, False
-    return val, c, grad_norm, max_iter, grad_norm <= GRAD_TOL
+    starts = np.zeros((1, atom_coords.shape[1])) if start is None else start[None]
+    val, c, gn, it, ok = _dual_newton_stack(atom_coords, log_weights, target[None],
+                                            starts, max_iter)
+    return float(val[0]), c[0], float(gn[0]), int(it[0]), bool(ok[0])
 
 
 def _dual_newton_stack(atom_coords: np.ndarray, log_weights: np.ndarray,
                        targets: np.ndarray, starts: np.ndarray,
                        max_iter: int = 200):
-    """_dual_newton on every row of targets (n, r), row i started at starts[i].
+    """Maximize c . t - logsumexp(log_w + A c) by damped Newton, for every
+    row t of targets (n, r), row i started at starts[i].
 
-    Each row follows _dual_newton's steps, ties, backtracking, divergence and
-    stopping rules and leaves the iteration as soon as they say it would.
+    Each row stops on its own: at a gradient norm below GRAD_TOL / 100, when
+    no backtracked step gains (ties within 1e-14 relative count as gains), or
+    when a tie comes with a gradient norm below GRAD_TOL.  Diverging iterates
+    (|c| beyond DIVERGENCE_NORM with the objective still climbing) report
+    converged=False, which callers interpret as an infinite conjugate.
     Returns arrays (values, c, grad_norms, iterations, converged).
     """
     n, r = targets.shape
@@ -313,7 +252,8 @@ def _dual_newton_stack(atom_coords: np.ndarray, log_weights: np.ndarray,
             rows = live[pending]
             cand = c[rows] + scale[pending, None] * step[pending]
             cand_val, cand_logp = objective(cand, targets[rows])
-            # tie-tolerant, as in _dual_newton
+            # tie-tolerant: near the optimum value gains fall below float
+            # resolution while the polishing step still shrinks the gradient
             take = cand_val > val[rows] - tie * np.maximum(1.0, np.abs(val[rows]))
             strict[pending[take]] = cand_val[take] > val[rows[take]]
             c[rows[take]] = cand[take]
@@ -442,3 +382,14 @@ def lstar_interior_stack(geom: SupportGeometry, x_mats: np.ndarray,
     vals[on[ok]] = val[ok]
     lams[on[ok]] = c[ok]
     return vals, lams
+
+
+def _settled_inside(geom: SupportGeometry, vals: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Rows of lstar_interior_stack that legendre() returns unchanged: finite, with
+    a tilted law w_i e^{<c, a_i>} / Z that weighs every atom above SETTLED_WEIGHT,
+    so the LPs, at DOMAIN_TOL, call the point inside.  On a face the dual runs
+    off while its gradient falls below GRAD_TOL, and that law empties the atoms
+    off the face."""
+    logs = geom.log_weights + lams @ geom.atom_coords.T
+    least = logs.min(axis=1) - np.logaddexp.reduce(logs, axis=1)
+    return np.isfinite(vals) & (least > np.log(SETTLED_WEIGHT))

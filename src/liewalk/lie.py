@@ -203,6 +203,13 @@ def _ball_coords(d: int, radius: float, rng: np.random.Generator,
     return c * (r / np.linalg.norm(c))
 
 
+def _coords_to_matrices(c: np.ndarray, d: int) -> np.ndarray:
+    """Algebra matrices of the coordinate rows of a (..., d^2 - d) array, one
+    vector-matrix product per row, summed as from_coords sums it."""
+    basis = _basis_stack(d)
+    return (c[..., None, :] @ basis.reshape(len(basis), -1)).reshape(*c.shape[:-1], d, d)
+
+
 def from_coords(c: np.ndarray, d: int) -> AlgebraVector:
     stack = _basis_stack(d)
     c = np.asarray(c, dtype=np.float64)
@@ -446,10 +453,7 @@ def validate_injectivity(d: int, eps: float = INJECTIVITY_EPS,
     """
     _check_sampling(n_samples, radius)
     rng = np.random.default_rng(seed)
-    c = np.array([_ball_coords(d, radius, rng) for _ in range(n_samples)])
-    basis = _basis_stack(d)
-    # one vector-matrix product per sample, summed as from_coords sums it
-    x = (c[:, None] @ basis.reshape(len(basis), -1)).reshape(n_samples, d, d)
+    x = _coords_to_matrices(np.array([_ball_coords(d, radius, rng) for _ in range(n_samples)]), d)
     g = _expm(x)
     back, ok, reasons = _logm_stack(g)
     if not ok.all():

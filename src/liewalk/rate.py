@@ -28,16 +28,18 @@ displayed closed form goes negative.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, OutOfDomainError
+from .errors import InvalidArgumentError, LieWalkError, OutOfDomainError
 from .legendre import (
     DOMAIN_TOL,
     SupportGeometry,
+    _settled_inside,
     _support_geometry,
     legendre,
     lstar_interior,
@@ -84,6 +86,17 @@ class ClosedFormPath2:
         u2 = ((1.0 - a) * db + b * da) / den
         return AlgebraVector([[-u1, u1], [u2, -u2]])
 
+    def _velocities(self, ts: np.ndarray, h: float | None = None):
+        """log_derivative at each t of ts, node by node (h is unused): the (n, 2, 2)
+        stack, NaN from the first t where it raises, and {that row: its error}."""
+        out = np.full((len(ts), 2, 2), np.nan)
+        for i, t in enumerate(ts):
+            try:
+                out[i] = self.log_derivative(t).entries
+            except LieWalkError as exc:  # the caller raises it once it reaches this row
+                return out, {i: exc}
+        return out, {}
+
 
 class SampledPath:
     """Path given by samples (t_j, group matrix), log-linearly interpolated.
@@ -106,22 +119,36 @@ class SampledPath:
         self.ts = ts
         self.mats = mats
         self.dim = mats.shape[-1]
-        self._seg_logs: dict[int, np.ndarray] = {}
+        # every segment's step mats[i]^-1 mats[i + 1], in one solve and one stacked log
+        self._segment_logs, ok, reasons = _logm_stack(np.linalg.solve(mats[:-1], mats[1:]))
+        if not ok.all():
+            first = int(np.argmin(ok))
+            raise OutOfDomainError(f"segment {first} has no principal log: {reasons[first]}")
 
-    def _segment_log(self, i: int) -> np.ndarray:
-        if i not in self._seg_logs:
-            rel = np.linalg.solve(self.mats[i], self.mats[i + 1])
-            self._seg_logs[i] = _logm(rel)
-        return self._seg_logs[i]
+    def _points(self, times: np.ndarray) -> np.ndarray:
+        """gamma at each of times, all in [0, 1] up to 1e-12."""
+        times = np.clip(times, 0.0, 1.0)
+        i = np.clip(np.searchsorted(self.ts, times, side="right") - 1, 0, len(self.ts) - 2)
+        theta = (times - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
+        return self.mats[i] @ _expm(theta[:, None, None] * self._segment_logs[i])
 
     def point(self, t: float) -> np.ndarray:
         if not -1e-12 <= t <= 1.0 + 1e-12:
             raise InvalidArgumentError("t must lie in [0, 1]")
-        t = min(max(t, 0.0), 1.0)
-        i = int(np.searchsorted(self.ts, t, side="right") - 1)
-        i = min(max(i, 0), len(self.ts) - 2)
-        theta = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
-        return self.mats[i] @ _expm(theta * self._segment_log(i))
+        return self._points(np.array([t], dtype=np.float64))[0]
+
+    def _velocities(self, ts: np.ndarray, h: float):
+        """Central differences log(gamma(t - h)^-1 gamma(t + h)) / (2h) at each t of ts,
+        on zero row sums: the (n, d, d) stack, NaN where a log fails, and {row: error}."""
+        if ts.min() - h < -1e-12 or ts.max() + h > 1.0 + 1e-12:
+            raise InvalidArgumentError("t +- h must stay inside [0, 1]")
+        points = self._points(np.concatenate([ts - h, ts + h]))
+        lg, _, reasons = _logm_stack(np.linalg.solve(points[:len(ts)], points[len(ts):]))
+        lg /= 2.0 * h
+        # roundoff projection back onto zero row sums
+        diag = np.arange(self.dim)
+        lg[:, diag, diag] -= lg.sum(axis=2)
+        return lg, {i: OutOfDomainError(msg) for i, msg in reasons.items()}
 
 
 def logarithmic_derivative(path, t: float, h: float = 1e-5) -> AlgebraVector:
@@ -130,15 +157,10 @@ def logarithmic_derivative(path, t: float, h: float = 1e-5) -> AlgebraVector:
     Closed-form paths use their analytic derivative; sampled paths use the
     central difference log(gamma(t-h)^-1 gamma(t+h)) / (2h).
     """
-    if hasattr(path, "log_derivative"):
-        return path.log_derivative(t)
-    if t - h < -1e-12 or t + h > 1.0 + 1e-12:
-        raise InvalidArgumentError("t +- h must stay inside [0, 1]")
-    rel = np.linalg.solve(path.point(t - h), path.point(t + h))
-    lg = _logm(rel) / (2.0 * h)
-    # roundoff projection back onto zero row sums
-    lg = lg - np.diag(lg.sum(axis=1))
-    return AlgebraVector(lg)
+    velocities, errors = path._velocities(np.array([t], dtype=np.float64), h)
+    if errors:
+        raise errors[0]
+    return AlgebraVector(velocities[0])
 
 
 def rate_along_path(dist: IncrementDistribution, path,
@@ -147,21 +169,35 @@ def rate_along_path(dist: IncrementDistribution, path,
                     h: float = 1e-5) -> float:
     """Composite Gauss-Legendre quadrature of Lstar along the path.
 
-    Returns +inf as soon as one node's velocity leaves the conjugate domain.
+    Returns +inf as soon as one node's velocity leaves the conjugate domain,
+    in node order: a later node whose velocity raises is not reached.  All
+    node velocities go through one lstar_interior_stack; only the nodes it
+    does not settle as inside (infinite, or near a face) go through
+    legendre(), which classifies boundary and off-hull velocities.
     """
+    for name, n in (("quad_nodes", quad_nodes), ("subintervals", subintervals)):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    if not 0.0 < h < np.inf:
+        raise InvalidArgumentError(f"h must be positive and finite, got {h!r}")
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    total = 0.0
     width = 1.0 / subintervals
-    for j in range(subintervals):
-        lo = j * width
-        for xi, wi in zip(nodes, weights):
-            t = lo + 0.5 * (xi + 1.0) * width
-            u = logarithmic_derivative(path, t, h=h)
-            val = legendre(dist, u).value
-            if not np.isfinite(val):
-                return float("inf")
-            total += 0.5 * width * wi * val
-    return float(total)
+    ts = ((np.arange(subintervals) * width)[:, None] + 0.5 * (nodes + 1.0) * width).ravel()
+    velocities, errors = path._velocities(ts, h)
+    if velocities.shape[-1] != dist.dim:
+        raise InvalidArgumentError("dimension mismatch between path and support")
+    geom = _support_geometry(dist)
+    vals, lams = lstar_interior_stack(geom, velocities, np.zeros((len(ts), geom.rank)))
+    for i in np.flatnonzero(~_settled_inside(geom, vals, lams)):
+        if i in errors:
+            raise errors[i]
+        vals[i] = legendre(dist, AlgebraVector(velocities[i])).value
+        if not np.isfinite(vals[i]):
+            return float("inf")
+    total = 0.0
+    for term in (0.5 * width * np.tile(weights, subintervals) * vals).tolist():
+        total += term  # node by node, rounded as the per-node loop rounded it
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -365,3 +365,19 @@ def test_log_product_suites_reject_radii_past_r_bch():
         run_log_product_suite(2, 0.5, 10, seed=0)     # raises at the call
     with pytest.raises(OutOfDomainError):
         empirical_lipschitz_constant(2, 0.5, 10, seed=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("surface", [False, True])
+def test_pair_blocks_draw_as_sample_ball(d, surface):
+    # pair i is sample_ball twice on the stream spawn_key=(i,), bit for bit,
+    # across a block edge
+    n = bch._BLOCK + 3
+    seen = 0
+    for start, x, y in bch._pair_blocks(d, 0.2, n, 7, surface=surface):
+        for j in range(len(x)):
+            rng = _pair_rng(7, start + j)
+            assert sample_ball(d, 0.2, rng, surface).entries.tobytes() == x[j].tobytes()
+            assert sample_ball(d, 0.2, rng, surface).entries.tobytes() == y[j].tobytes()
+            seen += 1
+    assert seen == n

@@ -13,6 +13,7 @@ from liewalk import (
 )
 from liewalk.bch import sample_ball
 from liewalk.legendre import _dual_newton, _dual_newton_stack, _support_geometry
+from legendre_reference import dual_newton as reference_dual_newton, reference_legendre
 
 
 def line_point(x1, alpha=1.0, beta=1.0):
@@ -304,11 +305,73 @@ def test_dual_newton_stack_matches_single(dist, rng, which):
         vals, c, gn, its, ok = _dual_newton_stack(
             geom.atom_coords, geom.log_weights, targets, starts, max_iter=max_iter)
         for i, (t, s) in enumerate(zip(targets, starts)):
-            v1, c1, g1, it1, ok1 = _dual_newton(geom.atom_coords, geom.log_weights,
-                                                t, start=s, max_iter=max_iter)
+            v1, c1, g1, it1, ok1 = reference_dual_newton(
+                geom.atom_coords, geom.log_weights, t, start=s, max_iter=max_iter)
             assert ok[i] == ok1, (i, max_iter)
             assert its[i] == it1
             if ok1:
                 assert vals[i] == pytest.approx(v1, abs=1e-12)
                 assert np.abs(c[i] - c1).max() <= 1e-12 * max(1.0, np.abs(c1).max())
     assert not ok[-2:].any() and ok[:12].all()
+
+
+# ---------------------------------------------------------------------------
+# legendre() against the one-matrix dual Newton, bit for bit
+
+def generator_law_3x3():
+    """Four atoms of weight 1/4: the generators of E12, E23 and E31, and (E21 + E32) / 2."""
+    def gen(i, j):
+        m = np.zeros((3, 3))
+        m[i, j], m[i, i] = 1.0, -1.0
+        return m
+
+    atoms = (gen(0, 1), gen(1, 2), gen(2, 0), 0.5 * (gen(1, 0) + gen(2, 1)))
+    return IncrementDistribution(atoms=tuple(AlgebraVector(a) for a in atoms),
+                                 weights=(0.25,) * 4)
+
+
+def result_bits(res):
+    """Every field of a LegendreResult, each float as its bytes."""
+    lam = None if res.maximizer is None else res.maximizer.entries.tobytes()
+    return (type(res.value), np.float64(res.value).tobytes(), lam,
+            np.float64(res.grad_norm).tobytes(), type(res.iterations), res.iterations,
+            res.classification, res.face)
+
+
+def test_legendre_matches_one_matrix_newton_two_state(dist):
+    # the finiteness line from past one vertex to past the other, and off it
+    points = [line_point(x1) for x1 in np.linspace(-0.1, 1.1, 61)]
+    points += [AlgebraVector([[-0.3, 0.3], [0.3, -0.3]]), AlgebraVector([[-0.9, 0.9], [0.2, -0.2]])]
+    classes = set()
+    for x in points:
+        res = legendre(dist, x)
+        assert result_bits(res) == result_bits(reference_legendre(dist, x))
+        classes.add(res.classification)
+    assert classes == {"inside", "boundary", "outside"}
+
+
+def test_legendre_matches_one_matrix_newton_3x3():
+    law = generator_law_3x3()
+    atoms = law.atom_stack()
+    mix = np.random.default_rng(0).dirichlet(np.ones(4), size=60)
+    mix[40:, 3] = 0.0                      # points on the face of the first three atoms
+    mix[50:, 2] = 0.0                      # and on an edge
+    mix /= mix.sum(axis=1, keepdims=True)
+    classes = set()
+    for w in mix:
+        x = AlgebraVector(np.tensordot(w, atoms, axes=1))
+        res = legendre(law, x)
+        assert result_bits(res) == result_bits(reference_legendre(law, x))
+        classes.add(res.classification)
+    assert classes == {"inside", "boundary"}
+
+
+def test_dual_newton_is_one_row_of_the_stack(dist):
+    geom = _support_geometry(triangle_dist())
+    target = np.array([0.1, -0.05])
+    val, c, gn, it, ok = _dual_newton(geom.atom_coords, geom.log_weights, target)
+    vals, cs, gns, its, oks = _dual_newton_stack(geom.atom_coords, geom.log_weights,
+                                                 target[None], np.zeros((1, 2)))
+    assert (type(val), type(gn), type(it), type(ok)) == (float, float, int, bool)
+    assert (val, gn, it, ok) == (vals[0], gns[0], its[0], oks[0]) and ok
+    assert c.tobytes() == cs[0].tobytes()

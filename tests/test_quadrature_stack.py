@@ -1,0 +1,155 @@
+"""rate_along_path on one stack of node velocities, against the per-node loop.
+
+The reference (legendre_reference.rate_along_path) takes one velocity and
+one legendre() call, with the one-matrix dual Newton, per node.  The stacked
+quadrature must return the same float, bit for bit, and raise or return
++inf where the loop does: at the first node, in node order, whose velocity
+raises or leaves the conjugate domain.
+"""
+
+import numpy as np
+import pytest
+
+import liewalk as lw
+import liewalk.rate as rate_module
+from liewalk import (
+    ClosedFormPath2,
+    InvalidArgumentError,
+    OutOfDomainError,
+    SampledPath,
+    logarithmic_derivative,
+    rate_along_path,
+)
+from liewalk.lie import _expm
+from legendre_reference import logarithmic_derivative as reference_log_derivative
+from legendre_reference import rate_along_path as reference_rate_along_path
+from test_acceptance import ALPHA, line_endpoint, minimizing_path_s2, sampled_minimizer
+from test_rate import theta_split_path, vertex_path
+
+CRITERION_5 = [0.52, 0.58, 0.4 / (1 - np.exp(-ALPHA)), 0.7, 0.8]
+FEW_NODES = dict(quad_nodes=4, subintervals=8)
+
+
+def assert_bit_identical(dist, path, **kwargs):
+    new = rate_along_path(dist, path, **kwargs)
+    old = reference_rate_along_path(dist, path, **kwargs)
+    assert type(new) is float
+    assert np.float64(new).tobytes() == np.float64(old).tobytes(), (new, old)
+    return new
+
+
+def criterion_5_paths(dist, c):
+    """Constant-split, minimizing and sampled-replay paths to criterion 5's endpoint c.
+
+    The replay runs through the discretized minimizer at m = 4, where
+    criterion 5 replays m = 32's.
+    """
+    g, _ = line_endpoint(c)
+    best = lw.refinement_ladder(dist, g, [2, 4])[4]
+    return [lw.optimal_path_s2(ALPHA, g), minimizing_path_s2(ALPHA, g),
+            sampled_minimizer(best.segments)]
+
+
+@pytest.mark.parametrize("c", CRITERION_5)
+def test_criterion_5_paths_match_node_loop(dist, c):
+    for path in criterion_5_paths(dist, c):
+        assert np.isfinite(assert_bit_identical(dist, path, **FEW_NODES))
+
+
+def test_criterion_5_paths_match_node_loop_at_default_nodes(dist):
+    for path in criterion_5_paths(dist, 0.7):
+        assert_bit_identical(dist, path)
+
+
+def test_vertex_path_matches_node_loop(dist):
+    # every velocity is the atom A, a vertex: legendre()'s face value log 2
+    val = assert_bit_identical(dist, vertex_path(), **FEW_NODES)
+    assert val == pytest.approx(np.log(2.0), abs=1e-10)
+
+
+def test_theta_split_path_matches_node_loop(dist):
+    assert_bit_identical(dist, theta_split_path(), quad_nodes=6, subintervals=16)
+
+
+def test_off_domain_path_is_infinite(dist):
+    path = ClosedFormPath2(g1=lambda t: 0.8 * t, g2=lambda t: 0.0,
+                           d1=lambda t: 0.8, d2=lambda t: 0.0)
+    assert assert_bit_identical(dist, path, **FEW_NODES) == np.inf
+
+
+def test_infinite_node_before_a_raising_node_wins(dist):
+    # velocities off the finiteness line from t = 0; the path leaves the
+    # invertible region (1 - g1 - g2 <= 0) only from t = 0.625 on
+    path = ClosedFormPath2(g1=lambda t: 0.8 * t, g2=lambda t: 0.8 * t,
+                           d1=lambda t: 0.8, d2=lambda t: 0.8)
+    with pytest.raises(OutOfDomainError):
+        path.log_derivative(0.7)
+    assert assert_bit_identical(dist, path, **FEW_NODES) == np.inf
+
+
+def test_raising_node_after_finite_nodes_raises(dist):
+    # constant split up to t = 1/2, then a jump out of the invertible region
+    g, _ = line_endpoint(0.7)
+    split = lw.optimal_path_s2(ALPHA, g)
+    path = ClosedFormPath2(g1=lambda t: split.g1(t) if t < 0.5 else 0.9,
+                           g2=lambda t: split.g2(t) if t < 0.5 else 0.9,
+                           d1=split.d1, d2=split.d2)
+    for quadrature in (rate_along_path, reference_rate_along_path):
+        with pytest.raises(OutOfDomainError, match="invertible region at t=0.5"):
+            quadrature(dist, path, **FEW_NODES)
+
+
+def test_interior_path_calls_no_legendre(dist, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rate_module, "legendre",
+                        lambda d, x: calls.append(x) or lw.legendre(d, x))
+    g, _ = line_endpoint(0.7)
+    rate_along_path(dist, lw.optimal_path_s2(ALPHA, g))
+    assert calls == []
+    rate_along_path(dist, vertex_path(), **FEW_NODES)
+    assert len(calls) == 32
+
+
+def test_sampled_path_velocities_match_node_loop(dist):
+    path = theta_split_path()
+    ts = np.linspace(0, 1, 101)
+    sampled = SampledPath(ts, np.array([path.point(t) for t in ts]))
+    for t in (1e-3, 0.3, 0.37, 0.5, 1 - 1e-3):
+        new = logarithmic_derivative(sampled, t, h=1e-4).entries
+        assert new.tobytes() == reference_log_derivative(sampled, t, h=1e-4).entries.tobytes()
+    for h in (1e-3, 0.01):         # the first node's window leaves [0, 1]
+        with pytest.raises(InvalidArgumentError, match="t \\+- h"):
+            rate_along_path(dist, sampled, h=h)
+
+
+def test_sampled_path_segment_without_log_is_rejected():
+    # the segment logs are one stacked log, taken when the path is built
+    first = _expm(np.array([[-0.3, 0.3], [0.2, -0.2]]))
+    mats = np.array([np.eye(2), first, first @ np.array([[-0.2, 1.2], [1.3, -0.3]])])
+    with pytest.raises(OutOfDomainError, match="segment 1 has no principal log"):
+        SampledPath([0.0, 0.5, 1.0], mats)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(subintervals=-3), dict(subintervals=0), dict(quad_nodes=0),
+    dict(quad_nodes=-1), dict(quad_nodes=2.0), dict(subintervals=True),
+    dict(h=0.0), dict(h=-1e-5), dict(h=np.nan), dict(h=np.inf),
+])
+def test_bad_quadrature_sizes_raise(dist, kwargs):
+    g, _ = line_endpoint(0.7)
+    with pytest.raises(InvalidArgumentError):
+        rate_along_path(dist, lw.optimal_path_s2(ALPHA, g), **kwargs)
+
+
+def test_numpy_integer_sizes_are_accepted(dist):
+    g, _ = line_endpoint(0.7)
+    path = lw.optimal_path_s2(ALPHA, g)
+    assert (rate_along_path(dist, path, quad_nodes=np.int64(4), subintervals=np.int32(8))
+            == rate_along_path(dist, path, **FEW_NODES))
+
+
+def test_dimension_mismatch_raises(dist):
+    x = np.array([[-0.3, 0.3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    path = SampledPath([0.0, 1.0], np.array([np.eye(3), _expm(x)]))
+    with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+        rate_along_path(dist, path)

@@ -1,0 +1,52 @@
+"""The traced benchmark finds every layer it wraps.
+
+perfbench/tracing.py wraps liewalk functions by module and name and records
+a name it cannot find as absent; the traced result line then leaves out that
+layer's declared metrics.  These tests catch a deleted or reshaped traced
+name inside the tier-1 suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import liewalk
+import liewalk.cli  # a traced module that the package does not import
+from liewalk import AlgebraVector
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_is_present():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    original = liewalk.legendre
+    tracing.install(tracer)
+    try:
+        assert liewalk.legendre is not original
+    finally:
+        tracer.restore()
+    assert tracer.absent == []
+    assert liewalk.legendre is original
+
+
+def test_wrapped_legendre_counts_newton_iterations(dist):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        res = liewalk.legendre(dist, AlgebraVector([[-0.7, 0.7], [0.3, -0.3]]))
+    finally:
+        tracer.restore()
+    assert res.classification == "inside"
+    assert tracer.calls["legendre.legendre"] == 1
+    assert tracer.calls["legendre.dual_newton"] == 1
+    iterations = tracer.counts["legendre.dual_newton.iterations"]
+    assert isinstance(iterations, float) and iterations.is_integer()
+    assert iterations == res.iterations >= 1
