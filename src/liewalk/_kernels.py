@@ -2,11 +2,13 @@
 
 ``partial_products`` and ``indexed_products`` multiply step matrices in
 left-to-right order; ``stoch2_log_norms`` takes principal-log norms of 2x2
-unit-row-sum matrices in closed form.  Each kernel has one implementation
-per matrix size: for 2x2 step matrices ``indexed_products`` composes affine
-maps of the product's first column by pairwise reduction, which agrees with
-the stacked matmul chain to about 1e-15 per step (rounding is pairwise, not
-sequential); larger step matrices take one stacked matmul per step.
+unit-row-sum matrices in closed form.  ``partial_products`` is one doubling
+scan of stacked matmuls for every matrix size.  Its rounding is not the
+per-step chain's, but about as large: on the two-state walk at n = 200,000
+both lie within 9e-13 of a long-double recurrence.  For 2x2 step matrices
+``indexed_products`` composes affine maps of the product's first column by
+pairwise reduction, which agrees with the stacked matmul chain to about
+1e-15 per step; larger step matrices take one stacked matmul per step.
 """
 
 import numpy as np
@@ -22,16 +24,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sequential partial products of a single chain of step matrices
+# partial products of a single chain of step matrices
 
 def partial_products(steps: np.ndarray) -> np.ndarray:
-    """Cumulative left-to-right products; out[0] = I, out[k] = out[k-1] @ steps[k-1]."""
-    steps = np.ascontiguousarray(steps, dtype=np.float64)
+    """Cumulative left-to-right products of a (n, d, d) stack, as (n + 1, d, d).
+
+    out[0] = I and out[k] = steps[0] @ ... @ steps[k-1].  A doubling scan
+    (Hillis and Steele, 1986): after the pass at offset off, out[k] holds the
+    product of the last min(k, 2 off) steps up to k, so ceil(log2 n) stacked
+    matmuls cover every prefix.  Nothing is divided, so large steps do not
+    overflow a quotient.
+    """
+    steps = np.asarray(steps, dtype=np.float64)
     n, d, _ = steps.shape
     out = np.empty((n + 1, d, d))
     out[0] = np.eye(d)
-    for k in range(n):
-        out[k + 1] = out[k] @ steps[k]
+    out[1:] = steps
+    off = 1
+    while off < n:
+        out[1 + off:] = out[1:-off] @ out[1 + off:]
+        off *= 2
     return out
 
 

@@ -321,16 +321,18 @@ def _logm_stack(g: np.ndarray, max_sqrt: int = 60):
     a = g^(1/2^k) has ||a - I||_F < _MERCATOR_SWITCH, and its log is 2^k times
     the Mercator series log(I + E) = sum_m (-1)^{m+1} E^m / m, E = a - I, up to
     the first m >= 2 whose tail bound ||E||^{m+1} / ((m+1)(1 - ||E||)) is below
-    1e-17, or m = 81.  Where a matrix has no principal log, or is not that close
-    to I after max_sqrt roots, ok is False, its log is NaN and reasons[i] says why.
+    1e-17, or m = 81.  Where a matrix has a non-finite entry, has no principal
+    log, or is not that close to I after max_sqrt roots, ok is False, its log
+    is NaN and reasons[i] says why.
     """
     ident = np.eye(g.shape[-1])
     a = np.array(g, dtype=np.float64)
     e = a - ident
     norm_e = _frobenius_norms(e)
     k = np.zeros(len(a), dtype=np.int64)
-    reasons = {}
-    live = np.nonzero(norm_e >= _MERCATOR_SWITCH)[0]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    reasons = {int(i): "matrix logarithm: non-finite entries" for i in np.nonzero(~finite)[0]}
+    live = np.nonzero(finite & (norm_e >= _MERCATOR_SWITCH))[0]
     while live.size:  # every live matrix has taken the same number of roots
         if k[live[0]] >= max_sqrt:
             for i in live.tolist():

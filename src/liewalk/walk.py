@@ -4,7 +4,8 @@ A trajectory multiplies one-step maps exp(X_k / n) for i.i.d. increments
 X_k drawn from a finitely supported law.  Segment decompositions cut the
 walk into m blocks whose displacements stay inside the logarithm domain,
 and the replacement certificate compares prefix logs against the running
-increment average.
+increment average.  A trajectory stores all n + 1 partial products, built
+by one doubling scan (``_kernels.partial_products``).
 
 Reproducibility: a trajectory is a pure function of (distribution, n,
 seed); increments are drawn by inverse CDF from a PCG64 stream seeded with
@@ -12,8 +13,8 @@ seed); increments are drawn by inverse CDF from a PCG64 stream seeded with
 seeds from ``SeedSequence(seed).spawn(k)``.
 """
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,72 +35,42 @@ from .lie import (
     from_coords,
 )
 
-POINT_STORAGE_LIMIT = 100_000  # keep all points up to this n, checkpoint above
-CHECKPOINT_COUNT = 1_000
-
-
 @dataclass(frozen=True, eq=False)
 class WalkTrajectory:
-    """Realized rescaled walk: n increments and the n+1 partial products.
-
-    For n above POINT_STORAGE_LIMIT only every ``stride``-th point is kept;
-    ``point(k)`` recomputes intermediate products from the nearest stored
-    checkpoint.
-    """
+    """Realized rescaled walk: n increments and all n+1 partial products."""
 
     dist: IncrementDistribution
     n: int
     seed: int
     atom_indices: np.ndarray          # (n,) unsigned, sized to the atom count
-    _points: np.ndarray               # stored points, (n_stored, d, d)
-    stride: int
+    points: np.ndarray                # (n + 1, d, d), read-only
 
     @property
     def dim(self) -> int:
         return self.dist.dim
-
-    @cached_property
-    def _step_mats(self) -> np.ndarray:
-        return np.array([_expm(a.entries / self.n) for a in self.dist.atoms])
 
     @property
     def increments(self) -> np.ndarray:
         """Realized increments X_1..X_n as an (n, d, d) array."""
         return self.dist.atom_stack()[self.atom_indices]
 
-    @property
-    def points(self) -> np.ndarray:
-        if self.stride != 1:
-            raise InvalidArgumentError(
-                "full point storage unavailable for this n; use point(k)")
-        return self._points
-
     def point(self, k: int) -> np.ndarray:
         """Partial product after k steps (k = 0 is the identity)."""
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise InvalidArgumentError(f"k must be an integer, got {k!r}") from None
         if not 0 <= k <= self.n:
             raise InvalidArgumentError(f"k must lie in [0, {self.n}]")
-        if self.stride == 1:
-            return self._points[k]
-        base = k // self.stride
-        acc = self._points[base].copy()
-        mats = self._step_mats
-        for j in range(base * self.stride, k):
-            acc = acc @ mats[self.atom_indices[j]]
-        return acc
+        return self.points[k]
 
     def prefix_points(self, k: int) -> np.ndarray:
-        """Partial products after 0..k steps as a (k + 1, d, d) stack.
-
-        Above POINT_STORAGE_LIMIT they are recomputed by the kernel that
-        built the walk, so they equal point(j) bit for bit.
-        """
-        if self.stride == 1:
-            return self._points[:k + 1]
-        return partial_products(self._step_mats[self.atom_indices[:k]])
+        """Partial products after 0..k steps as a (k + 1, d, d) stack."""
+        return self.points[:k + 1]
 
     def step_logs(self) -> np.ndarray:
         """Logs of the n one-step displacements point(k-1)^-1 point(k)."""
-        pts = self.prefix_points(self.n)
+        pts = self.points
         return _logs_or_raise(np.linalg.solve(pts[:-1], pts[1:]), lambda k: "")
 
     @property
@@ -128,15 +99,9 @@ def simulate_walk(dist: IncrementDistribution, n: int, seed: int) -> WalkTraject
     idx = dist.sample_indices(rng, n)
     step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
     points = partial_products(step_mats[idx])
-    if n <= POINT_STORAGE_LIMIT:
-        stored, stride = points, 1
-    else:
-        stride = int(np.ceil(n / CHECKPOINT_COUNT))
-        stored = points[::stride].copy()
-    stored.flags.writeable = False
+    points.flags.writeable = False
     idx.flags.writeable = False
-    return WalkTrajectory(dist=dist, n=n, seed=seed, atom_indices=idx,
-                          _points=stored, stride=stride)
+    return WalkTrajectory(dist=dist, n=n, seed=seed, atom_indices=idx, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +130,11 @@ class SegmentDecomposition:
 
 def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
     if not 1 <= m <= traj.n:
-        raise InvalidArgumentError("segment count must lie in [1, n]")
+        raise InvalidArgumentError(
+            f"segment count m must lie in [1, n] = [1, {traj.n}], got {m}")
     block = traj.n // m
     bounds = tuple(l * block for l in range(m)) + (traj.n,)
-    pts = np.array([traj.point(b) for b in bounds])
+    pts = traj.points[list(bounds)]
     logs = _logs_or_raise(
         np.linalg.solve(pts[:-1], pts[1:]),
         lambda l: (f"segment {l} displacement is outside the log domain; "
@@ -182,10 +148,7 @@ def psi_m(segments) -> GroupElement:
     segments = list(segments)
     if not segments:
         raise InvalidArgumentError("need at least one segment")
-    acc = _expm(segments[0].entries)
-    for x in segments[1:]:
-        acc = acc @ _expm(x.entries)
-    return GroupElement(acc)
+    return GroupElement(partial_products(_expm(np.array([x.entries for x in segments])))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +182,10 @@ def replacement_deviation(traj: WalkTrajectory, m: int) -> ReplacementCertificat
     kappa the measured norm-to-adjoint constant of the support.
     """
     n = traj.n
+    if not 1 <= m <= n:
+        raise InvalidArgumentError(
+            f"segment count m must lie in [1, n] = [1, {n}], got {m}")
     k_max = n // m
-    if k_max < 1:
-        raise InvalidArgumentError("m exceeds n; no steps to check")
     b = traj.dist.support_bound
     kappa = kappa_support(traj.dist)
     cums = np.cumsum(traj.dist.atom_stack()[traj.atom_indices[:k_max]], axis=0) / n

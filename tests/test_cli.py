@@ -197,6 +197,16 @@ def test_bad_matrix_file_is_numeric_error(tmp_path, capsys):
     assert "unit_row_sum" in diag["message"]
 
 
+@pytest.mark.parametrize("m", ["0", "-3", "51"])
+def test_simulate_m_outside_one_to_n_is_numeric_error(m, capsys):
+    assert main(["simulate", "--alpha", "1", "--beta", "1", "--n", "50", "--m", m]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err.strip())
+    assert diag["error"] == "InvalidArgumentError"
+    assert f"must lie in [1, n] = [1, 50], got {int(m)}" in diag["message"]
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from liewalk import AlgebraVector, IncrementDistribution, simulate_walk
 from liewalk._kernels import indexed_products, partial_products, stoch2_log_norms
 from liewalk.errors import InvalidArgumentError
 from liewalk.lie import OutOfDomainError, _expm, _logm
 from logm_reference import logm as reference_logm
+from products_reference import partial_products as looped_partial_products
+from products_reference import stoch2_partial_products_longdouble
 
 
 @pytest.fixture()
@@ -29,6 +32,58 @@ def test_partial_products_against_manual(step_mats, rng):
     for k in range(40):
         acc = acc @ steps[k]
         np.testing.assert_allclose(got[k + 1], acc, atol=1e-14)
+
+
+def two_state_steps(alpha, n, seed):
+    """n steps exp(X_k / n) of the two-state law with both rates alpha."""
+    atoms = np.array([[[-alpha, alpha], [0.0, 0.0]], [[0.0, 0.0], [alpha, -alpha]]])
+    idx = np.random.default_rng(seed).integers(0, 2, size=n)
+    return _expm(atoms / n)[idx]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1024, 1025])
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_products_scan_sizes(rng, n, d):
+    steps = np.eye(d) + rng.uniform(-0.05, 0.05, size=(n, d, d))
+    got = partial_products(steps)
+    assert got.shape == (n + 1, d, d)
+    assert np.array_equal(got[0], np.eye(d))
+    assert np.array_equal(got[1:2], steps[:1])
+    np.testing.assert_allclose(got, looped_partial_products(steps), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha, n, tol", [(1.0, 200_000, 2e-12), (700.0, 100_000, 1e-11)])
+def test_partial_products_2x2_against_longdouble(alpha, n, tol):
+    # measured: 9.0e-13 (alpha 1) and 6.6e-12 (alpha 700); the per-step
+    # loop is off by as much (8.9e-13 and 6.9e-12)
+    steps = two_state_steps(alpha, n, seed=7)
+    ref = stoch2_partial_products_longdouble(steps)
+    err = np.abs(partial_products(steps) - ref).max()
+    assert err <= tol, err
+
+
+def test_walk_with_large_trace_stays_finite_on_the_group():
+    # |tr X| = 740 > 709: on this walk P = cumprod(a), B = P cumsum(b / P)
+    # overflows to inf, as b / P passes 1e308; the scan divides by nothing
+    alpha = 740.0
+    dist = IncrementDistribution(
+        atoms=(AlgebraVector([[-alpha, alpha], [0.0, 0.0]]),
+               AlgebraVector([[0.0, 0.0], [alpha, -alpha]])),
+        weights=(0.5, 0.5))
+    pts = simulate_walk(dist, 50, seed=7).points
+    assert np.isfinite(pts).all()
+    np.testing.assert_allclose(pts.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_partial_products_3x3_against_loop(rng):
+    atoms = rng.uniform(0.0, 2.0, size=(3, 3, 3))
+    for a in atoms:
+        np.fill_diagonal(a, 0.0)
+        a -= np.diag(a.sum(axis=1))
+    n = 20_000
+    steps = _expm(atoms / n)[rng.integers(0, 3, size=n)]
+    np.testing.assert_allclose(partial_products(steps), looped_partial_products(steps),
+                               rtol=0, atol=2e-12)
 
 
 def test_indexed_products_against_manual(step_mats, rng):

@@ -460,6 +460,32 @@ def test_logm_stack_bad_rows_leave_the_others_unchanged(rng):
     assert np.array_equal(logs[ok], alone)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logm_rejects_non_finite_entries(bad):
+    g = np.full((2, 2), bad)
+    with pytest.raises(OutOfDomainError, match="^matrix logarithm: non-finite entries$"):
+        _logm(g)
+    g = np.eye(2)
+    g[1, 0] = bad
+    with pytest.raises(OutOfDomainError, match="non-finite entries"):
+        _logm(g)
+
+
+def test_logm_stack_non_finite_rows_leave_the_others_unchanged(rng):
+    mats = mixed_log_stack(rng, 2)
+    logs, ok, reasons = _logm_stack(mats)
+    # one NaN row among the small ones, one inf row among those that take roots
+    bad = mats.copy()
+    bad[5, 0, 1] = np.nan
+    bad[40, 1, 1] = np.inf
+    bad_logs, bad_ok, bad_reasons = _logm_stack(bad)
+    assert bad_reasons == {**reasons, 5: "matrix logarithm: non-finite entries",
+                           40: "matrix logarithm: non-finite entries"}
+    assert np.flatnonzero(~bad_ok).tolist() == sorted(bad_reasons)
+    assert np.isnan(bad_logs[[5, 40]]).all()
+    assert np.array_equal(bad_logs[bad_ok], logs[bad_ok])
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_injectivity_report_matches_a_per_sample_loop(d):
     # radius 2.1: most samples take square roots before the Mercator series

@@ -407,6 +407,17 @@ def test_penalties_bit_identical_to_loop(rng):
     assert np.array_equal(_penalties(singular, g), loop)
 
 
+def test_penalties_of_a_nan_product_are_infinite(rng):
+    g, _ = line_endpoint(0.7)
+    g = g.entries
+    prods = g @ (np.eye(2) + 0.05 * rng.standard_normal((4, 2, 2)))
+    prods[2, 0, 0] = np.nan
+    got = _penalties(prods, g)
+    assert got[2] == np.inf
+    assert np.isfinite(got[[0, 1, 3]]).all()
+    assert np.array_equal(got[[0, 1, 3]], _penalties(prods[[0, 1, 3]], g))
+
+
 def test_off_determinant_line_is_infinite_at_once(dist):
     # det exp(X/n) = e^{tr X / n} forces det g = e^-1 on this model
     g = GroupElement([[0.7, 0.3], [0.2, 0.8]])

@@ -50,3 +50,23 @@ def test_wrapped_legendre_counts_newton_iterations(dist):
     iterations = tracer.counts["legendre.dual_newton.iterations"]
     assert isinstance(iterations, float) and iterations.is_integer()
     assert iterations == res.iterations >= 1
+
+
+def test_traced_walk_counts_every_step_product(dist):
+    # the walk's products and points go through the names the tracer wraps:
+    # _kernels.partial_products, WalkTrajectory.point and simulate_walk
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    original_point = liewalk.WalkTrajectory.point
+    tracing.install(tracer)
+    try:
+        assert liewalk.WalkTrajectory.point is not original_point
+        traj = liewalk.simulate_walk(dist, 1_000, seed=7)
+        traj.point(1_000)
+    finally:
+        tracer.restore()
+    assert tracer.counts["kernels.partial_products.products"] == 1_000
+    assert tracer.calls["kernels.partial_products"] == 1
+    assert tracer.calls["walk.simulate_walk"] == 1
+    assert tracer.calls["walk.point"] == 1
+    assert liewalk.WalkTrajectory.point is original_point

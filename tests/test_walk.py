@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-import liewalk.walk as walk_mod
 from liewalk import (
     AlgebraVector,
     IncrementDistribution,
@@ -86,18 +85,12 @@ def test_triangle_accumulation(dist):
         assert lg.norm <= (k / traj.n) * b + 1e-9
 
 
-def test_checkpointed_storage_consistent(dist, monkeypatch):
-    import liewalk.walk as walk_mod
-
-    full = simulate_walk(dist, 120, seed=17)
-    monkeypatch.setattr(walk_mod, "POINT_STORAGE_LIMIT", 50)
-    monkeypatch.setattr(walk_mod, "CHECKPOINT_COUNT", 7)
-    sparse = simulate_walk(dist, 120, seed=17)
-    assert sparse.stride > 1
-    for k in (0, 1, 35, 77, 120):
-        np.testing.assert_allclose(sparse.point(k), full.point(k), atol=1e-14)
-    with pytest.raises(InvalidArgumentError):
-        _ = sparse.points
+def test_point_takes_integers_in_range_only(dist):
+    traj = simulate_walk(dist, 120, seed=17)
+    np.testing.assert_array_equal(traj.point(np.int64(77)), traj.points[77])
+    for k in (2.5, 2.0, "3", None, -1, 121):
+        with pytest.raises(InvalidArgumentError):
+            traj.point(k)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +169,13 @@ def test_replacement_bound_shrinks_with_m(dist):
     assert c2.max_deviation <= c1.max_deviation  # nested prefixes
 
 
+@pytest.mark.parametrize("m", [0, -3, 201])
+def test_replacement_rejects_m_outside_one_to_n(dist, m):
+    traj = simulate_walk(dist, 200, seed=1)
+    with pytest.raises(InvalidArgumentError, match=r"\[1, n\] = \[1, 200\], got "):
+        replacement_deviation(traj, m)
+
+
 def _looped_replacement(traj, m):
     """The per-step loop the stacked certificate replaces: (max_deviation, argmax_k)."""
     n = traj.n
@@ -211,13 +211,13 @@ def _assert_matches_loop(traj, m):
 @pytest.mark.parametrize("m", [1, 20])
 def test_stacked_certificate_matches_loop_stored_points(dist, m):
     traj = simulate_walk(dist, 4000, seed=35)
-    assert traj.stride == 1
     _assert_matches_loop(traj, m)
 
 
 def test_stacked_certificate_matches_loop_checkpointed(dist):
-    traj = simulate_walk(dist, walk_mod.POINT_STORAGE_LIMIT + 1, seed=37)
-    assert traj.stride > 1
+    # a long walk: every point is stored, and the stacked certificate reads
+    # the same points as the per-point loop
+    traj = simulate_walk(dist, 100_001, seed=37)
     _assert_matches_loop(traj, 1000)
 
 
