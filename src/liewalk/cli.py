@@ -141,9 +141,15 @@ def _resolve(args, file_cfg: dict, keys: dict) -> dict:
 
 
 def _int_list(spec) -> list[int]:
-    if isinstance(spec, list):
-        return [int(v) for v in spec]
-    return [int(tok) for tok in str(spec).split(",") if tok.strip()]
+    """Integers of a comma-separated flag or a config-file list."""
+    tokens = [str(tok) for tok in spec] if isinstance(spec, list) else str(spec).split(",")
+    try:
+        values = [int(tok) for tok in tokens if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise UsageError(f"expected comma-separated integers, got {spec!r}")
+    return values
 
 
 def _inputs_digest(cfg: dict) -> str:

@@ -4,11 +4,14 @@ discretized variational minimum over products of exponentials.
 A path cost is the integral over [0, 1] of the conjugate evaluated at the
 logarithmic derivative gamma(t)^-1 gamma'(t) (identified with the algebra).
 The discretized problem minimizes (1/m) sum_i Lstar(m x_i) over segment
-lists subject to exp(x_1)...exp(x_m) = g, via quadratic-penalty iterations
-with escalating rho, gradient descent with backtracking on the smooth part
-(envelope gradient through the Legendre maximizer), and an exact
-feasibility repair of the last segment.  Iterates are parameterized in the
-affine hull of the support, where the conjugate has a relative interior.
+lists subject to exp(x_1)...exp(x_m) = g, by sequential quadratic
+programming (scipy's SLSQP; Kraft, DFVLR 1988) with exact derivatives: the
+objective's gradient is the Legendre maximizer (the envelope theorem), and
+the constraint's Jacobian comes from prefix and suffix products around the
+Frechet derivative of each segment's exponential (Higham, Functions of
+Matrices, 10.6).  Segments are parameterized in the affine hull of the
+support, where the conjugate has a relative interior, and kept inside the
+hull's facets.
 
 The two-state closed forms (the constant-split path for equal rates, the
 published final rate expression) are provided for side-by-side reporting.
@@ -28,12 +31,14 @@ displayed closed form goes negative.
 """
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import optimize, spatial
 
+from ._kernels import partial_products
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, LieWalkError, OutOfDomainError
 from .legendre import (
@@ -56,6 +61,8 @@ from .lie import (
 
 GL_NODES_DEFAULT = 8
 GL_SUBINTERVALS_DEFAULT = 32
+RESIDUAL_TOL = 1e-12   # largest accepted |log(Psi_m^-1 g)|_F of a discretized minimizer
+FACET_MARGIN = 1e-7    # how far the solver keeps segments inside the hull's facets
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +170,17 @@ def logarithmic_derivative(path, t: float, h: float = 1e-5) -> AlgebraVector:
     return AlgebraVector(velocities[0])
 
 
+def _positive_int(name: str, n) -> int:
+    """n as an int: any integer type but bool, and at least 1."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = 0
+    if isinstance(n, bool) or value < 1:
+        raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    return value
+
+
 def rate_along_path(dist: IncrementDistribution, path,
                     quad_nodes: int = GL_NODES_DEFAULT,
                     subintervals: int = GL_SUBINTERVALS_DEFAULT,
@@ -175,9 +193,8 @@ def rate_along_path(dist: IncrementDistribution, path,
     does not settle as inside (infinite, or near a face) go through
     legendre(), which classifies boundary and off-hull velocities.
     """
-    for name, n in (("quad_nodes", quad_nodes), ("subintervals", subintervals)):
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    quad_nodes = _positive_int("quad_nodes", quad_nodes)
+    subintervals = _positive_int("subintervals", subintervals)
     if not 0.0 < h < np.inf:
         raise InvalidArgumentError(f"h must be positive and finite, got {h!r}")
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
@@ -284,6 +301,7 @@ def _hull_points(geom: SupportGeometry, coords: np.ndarray) -> np.ndarray:
 
 
 def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
+    """|log(prod^-1 g)|_F^2, +inf where prod^-1 g has no principal log."""
     try:
         lg = _logm(np.linalg.solve(prod, g))
     except (OutOfDomainError, np.linalg.LinAlgError):
@@ -291,29 +309,13 @@ def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum(lg * lg))
 
 
-def _penalties(prods: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """_penalty of every matrix of a (..., d, d) stack, bit for bit.
-
-    One solve and one stacked log cover the stack; a stack that the solve
-    finds singular goes through _penalty one matrix at a time.
-    """
-    flat = prods.reshape(-1, *prods.shape[-2:])
-    try:
-        rel = np.linalg.solve(flat, g)
-    except np.linalg.LinAlgError:
-        return np.array([_penalty(p, g) for p in flat]).reshape(prods.shape[:-2])
-    lg, ok, _ = _logm_stack(rel)
-    return np.where(ok, np.sum(lg * lg, axis=(-2, -1)), np.inf).reshape(prods.shape[:-2])
-
-
 def _off_determinant_line(geom: SupportGeometry, g: np.ndarray) -> bool:
     """True when no product of hull segments can reach g.
 
     With every frame direction traceless, det Psi_m(x) = exp(tr xbar) for all
     segment lists x.  An endpoint with det g <= 0 or log det g off tr xbar by
-    more than sqrt(d) DOMAIN_TOL is then unreachable at every m: the closing
-    segment of the repair would sit at least m |log det g - tr xbar| / sqrt(d)
-    off the hull.
+    more than sqrt(d) DOMAIN_TOL is then unreachable at every m: some scaled
+    segment m x_i would sit at least |log det g - tr xbar| / sqrt(d) off the hull.
     """
     if np.abs(np.trace(geom.frame, axis1=1, axis2=2)).max(initial=0.0) > 1e-12:
         return False
@@ -341,26 +343,40 @@ def _initial_coords(dist, geom: SupportGeometry, g: GroupElement, m: int):
     return np.tile(geom.to_coords(geom.xbar)[0], (m, 1))
 
 
+def _hull_facets(geom: SupportGeometry):
+    """(normals, offsets) of the support hull in frame coordinates: t lies in
+    the hull where normals @ t + offsets <= 0.  Below rank 2 the hull is an
+    interval or a point, which qhull does not take: its facets are a box."""
+    if geom.rank < 2:
+        a, eye = geom.atom_coords, np.eye(geom.rank)
+        return np.vstack([eye, -eye]), np.concatenate([-a.max(axis=0), a.min(axis=0)])
+    facets = spatial.ConvexHull(geom.atom_coords).equations
+    return facets[:, :-1], facets[:, -1]
+
+
 def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
-                     seed_segments=None,
-                     rho_schedule=(10.0, 1e2, 1e3, 1e4),
-                     max_iter: int = 150,
-                     fd_eps: float = 1e-6) -> DiscretizedRate:
-    """Penalty-method minimum of (1/m) sum Lstar(m x_i) subject to Psi_m(x) = g.
+                     seed_segments=None) -> DiscretizedRate:
+    """Minimum of (1/m) sum Lstar(m x_i) subject to Psi_m(x) = g, by SLSQP.
 
-    Segments are parameterized in the affine hull of the support.  After each
-    penalty stage the last segment is replaced by the exact log that restores
-    feasibility, and the best exactly-feasible candidate seen is reported, so
-    warm-started refinements can only improve.  An endpoint off the
-    determinant line of the hull is +inf at once, with diagnostics reason
-    "determinant" and no iterations.
+    The variables are the segments' m x r hull coordinates, started at
+    seed_segments when given.  The objective's exact gradient is the
+    Legendre duals over m.  The equality constraint is offdiag(Psi_m - g),
+    projected onto the directions its starting Jacobian spans (at d = 2 with
+    a traceless frame the determinant ties M12 to M21); its Jacobian is
+    prefix_i Dexp(x_i)[U_j / m] suffix_i, where Dexp is the upper-right block
+    of the exponential of [[x_i, U_j / m], [0, x_i]].  The hull's facets,
+    pulled in by FACET_MARGIN, bound every segment.
 
-    Each iterate takes its m segment exponentials, its 2 m r finite-difference
-    products and their penalties as stacks, and its m conjugates from one
-    batched dual Newton.
+    The final iterate is accepted, whatever SLSQP's status, when its
+    conjugates are finite and sqrt(_penalty(Psi_m, g)) is at most
+    RESIDUAL_TOL.  A feasible start that costs less is reported instead, so
+    warm-started ladders cannot rise.  With neither, the value is +inf with
+    diagnostics reason "slsqp: <message>".  An endpoint off the determinant
+    line of the hull is +inf at once, with reason "determinant" and no
+    iterations.  A point mass has no variables: its value is the conjugate at
+    the mean when exp(mean) is g.
     """
-    if m < 1:
-        raise InvalidArgumentError("m must be a positive integer")
+    m = _positive_int("m", m)
     if g.dim != dist.dim:
         raise InvalidArgumentError("dimension mismatch between endpoint and support")
     geom = _support_geometry(dist)
@@ -378,127 +394,98 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
             if residual > 1e-7:
                 raise InvalidArgumentError("seed segment leaves the support's affine hull")
             rows.append(t)
-        coords_t = np.array(rows).reshape(m, r)
+        start = np.array(rows).reshape(m, r)
 
-    diag = {"iterations": 0, "rho_schedule": list(rho_schedule)}
+    diag = {"iterations": 0}
     if _off_determinant_line(geom, g_mat):
         diag.update(feasible=False, reason="determinant")
         return DiscretizedRate(m=m, value=float("inf"), segments=None,
                                constraint_residual=float("inf"), diagnostics=diag)
     if seed_segments is None:
-        coords_t = _initial_coords(dist, geom, g, m)
+        start = _initial_coords(dist, geom, g, m)
 
+    off = ~np.eye(d, dtype=bool)
     warm = np.zeros((m, r))
+    normals, offsets = _hull_facets(geom)
 
-    def smooth_and_grad(tc):
-        vals, lams = lstar_interior_stack(geom, _hull_points(geom, tc), warm)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        first = bad[0] if bad.size else m
-        # rows past the first infinite one keep their old warm start
-        warm[:first] = lams[:first]
-        if first < m:
-            return np.inf, None
-        return float(vals.mean()), lams / m
+    def segments(flat):
+        """Hull points, exponentials and prefix products of the m x r coordinates."""
+        points = _hull_points(geom, flat.reshape(m, r))
+        exps = _expm(points / m)
+        return points, exps, partial_products(exps)
 
-    def segment_exps(tc):
-        return _expm(_hull_points(geom, tc) / m)
+    def objective(flat):
+        coords = flat.reshape(m, r)
+        if (coords @ normals.T + offsets > 0).any():   # off the hull, where the dual diverges
+            return np.inf, np.zeros_like(flat)
+        vals, lams = lstar_interior_stack(geom, _hull_points(geom, coords), warm)
+        if not np.isfinite(vals).all():
+            return np.inf, np.zeros_like(flat)
+        warm[:] = lams
+        return float(vals.mean()), lams.ravel() / m
 
-    def prefix_products(exps):
-        out = np.empty((len(exps) + 1, d, d))
-        out[0] = np.eye(d)
-        for i, e in enumerate(exps):
-            out[i + 1] = out[i] @ e
-        return out
+    def jacobian(flat):
+        """d offdiag(Psi_m) / d coordinates, as (d^2 - d, m r)."""
+        points, exps, prefixes = segments(flat)
+        # the suffixes exps[i+1] ... exps[m-1] are prefixes of the reversed, transposed list
+        suffixes = np.swapaxes(partial_products(np.swapaxes(exps[::-1], 1, 2))[m - 1::-1], 1, 2)
+        blocks = np.zeros((m, r, 2 * d, 2 * d))
+        blocks[:, :, :d, :d] = blocks[:, :, d:, d:] = points[:, None] / m
+        blocks[:, :, :d, d:] = geom.frame / m
+        dexp = _expm(blocks.reshape(m * r, 2 * d, 2 * d))[:, :d, d:].reshape(m, r, d, d)
+        return (prefixes[:m, None] @ dexp @ suffixes[:, None])[..., off].reshape(m * r, -1).T
 
-    def suffix_products(exps):
-        out = np.empty((len(exps) + 1, d, d))
-        out[-1] = np.eye(d)
-        for i in range(len(exps) - 1, -1, -1):
-            out[i] = exps[i] @ out[i + 1]
-        return out
+    def settle(coords):
+        """(value, hull points, residual) of one segment list."""
+        points, _, prefixes = segments(coords.ravel())
+        vals, _ = lstar_interior_stack(geom, points, warm)
+        return float(np.mean(vals)), points, float(np.sqrt(_penalty(prefixes[m], g_mat)))
 
-    def repair(tc, exps):
-        """Exact-feasibility candidate: last segment set to the closing log."""
-        head = prefix_products(exps[:m - 1])[-1]
-        try:
-            closing = _logm(np.linalg.solve(head, g_mat))
-        except (OutOfDomainError, np.linalg.LinAlgError):
-            return np.inf, None, np.inf
-        points = _hull_points(geom, tc[:m - 1])
-        vals, _ = lstar_interior_stack(geom, np.concatenate([points, m * closing[None]]),
-                                       np.zeros((m, r)))
-        if not np.all(np.isfinite(vals)):
-            return np.inf, None, np.inf
-        segs = [AlgebraVector(p / m) for p in points]
-        segs.append(AlgebraVector(closing))
-        residual = float(np.sqrt(_penalty(head @ _expm(closing), g_mat)))
-        return float(np.mean(vals)), tuple(segs), residual
+    if r:
+        u, sv, _ = np.linalg.svd(jacobian(start.ravel()), full_matrices=False)
+        basis = u[:, sv > 1e-9 * sv[0]]
+        inner_jac = np.kron(np.eye(m), -normals)
+        res = optimize.minimize(
+            objective, start.ravel(), jac=True, method="SLSQP",
+            constraints=[
+                {"type": "eq", "fun": lambda x: basis.T @ (segments(x)[2][m] - g_mat)[off],
+                 "jac": lambda x: basis.T @ jacobian(x)},
+                {"type": "ineq",
+                 "fun": lambda x: -(x.reshape(m, r) @ normals.T + offsets + FACET_MARGIN).ravel(),
+                 "jac": lambda x: inner_jac}],
+            options={"ftol": 1e-14})
+        coords = res.x.reshape(m, r)
+        diag.update(iterations=int(res.nit), status=int(res.status), message=res.message)
+        failure = f"slsqp: {res.message}"
+    else:  # a point mass: the one segment list there is
+        coords = start
+        failure = "point mass: the endpoint is not the exponential of the mean"
 
-    # central differences: up[i, j] is row i with coordinate j moved by
-    # +fd_eps, and dn[i, j] is that point moved by -2 fd_eps
-    bump = np.eye(r) * fd_eps
-    exps = segment_exps(coords_t)
-    best_val, best_segs, best_res = repair(coords_t, exps)
-    total_iters = 0
-    for rho in rho_schedule:
-        step = 0.05
-        for _ in range(max_iter):
-            total_iters += 1
-            sm, grad = smooth_and_grad(coords_t)
-            if grad is None:
-                break
-            # the iterate's product and its 2 m r bumped products, one stack
-            prefixes = prefix_products(exps)
-            suffixes = suffix_products(exps)
-            up = coords_t[:, None, :] + bump
-            dn = up - 2 * bump
-            bumped = (prefixes[:m, None, None] @ segment_exps(np.stack([up, dn], axis=2))
-                      @ suffixes[1:, None, None])                   # (m, r, 2, d, d)
-            pens = _penalties(np.concatenate([prefixes[m:], bumped.reshape(-1, d, d)]),
-                              g_mat)
-            pen0, pens = pens[0], pens[1:].reshape(m, r, 2)
-            if not np.isfinite(pen0):
-                break
-            f0 = sm + rho * pen0
-            ok = np.isfinite(pens).all(axis=2)
-            grad[ok] += rho * (pens[..., 0][ok] - pens[..., 1][ok]) / (2 * fd_eps)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-10:
-                break
-            moved = False
-            for _ in range(40):
-                cand = coords_t - step * grad
-                sm_c, _ = smooth_and_grad(cand)
-                if np.isfinite(sm_c):
-                    exps_c = segment_exps(cand)
-                    fc = sm_c + rho * _penalty(prefix_products(exps_c)[m], g_mat)
-                    if np.isfinite(fc) and fc < f0 - 1e-15:
-                        coords_t, exps = cand, exps_c
-                        moved = True
-                        break
-                step *= 0.5
-            if not moved:
-                break
-            step *= 1.7
-        val, segs, res = repair(coords_t, exps)
-        if val < best_val:
-            best_val, best_segs, best_res = val, segs, res
-
-    diag["iterations"] = total_iters
-    diag["feasible"] = bool(np.isfinite(best_val))
-    if not np.isfinite(best_val):
+    value, points, residual = settle(coords)
+    diag["residual"] = residual
+    accepted = np.isfinite(value) and residual <= RESIDUAL_TOL
+    initial = settle(start)
+    if (np.isfinite(initial[0]) and initial[2] <= RESIDUAL_TOL
+            and (not accepted or initial[0] < value)):
+        (value, points, residual), accepted = initial, True
+    diag["feasible"] = bool(accepted)
+    if not accepted:
+        diag["reason"] = failure
         return DiscretizedRate(m=m, value=float("inf"), segments=None,
                                constraint_residual=float("inf"), diagnostics=diag)
-    return DiscretizedRate(m=m, value=best_val, segments=best_segs,
-                           constraint_residual=best_res, diagnostics=diag)
+    return DiscretizedRate(m=m, value=value,
+                           segments=tuple(AlgebraVector(p / m) for p in points),
+                           constraint_residual=residual, diagnostics=diag)
 
 
-def refinement_ladder(dist: IncrementDistribution, g: GroupElement, ms,
-                      **kwargs) -> dict[int, DiscretizedRate]:
+def refinement_ladder(dist: IncrementDistribution, g: GroupElement,
+                      ms) -> dict[int, DiscretizedRate]:
     """Run discretized_rate along increasing m, warm-starting each level by
     splitting the previous minimizer (a cost-preserving embedding, so values
     are non-increasing along the ladder)."""
-    ms = sorted(set(int(m) for m in ms))
+    ms = sorted({_positive_int("m", m) for m in ms})
+    if not ms:
+        raise InvalidArgumentError("the ladder needs at least one m")
     out: dict[int, DiscretizedRate] = {}
     prev: DiscretizedRate | None = None
     for m in ms:
@@ -506,7 +493,7 @@ def refinement_ladder(dist: IncrementDistribution, g: GroupElement, ms,
         if prev is not None and prev.segments is not None and m % prev.m == 0:
             k = m // prev.m
             seed = [x * (1.0 / k) for x in prev.segments for _ in range(k)]
-        out[m] = discretized_rate(dist, g, m, seed_segments=seed, **kwargs)
+        out[m] = discretized_rate(dist, g, m, seed_segments=seed)
         prev = out[m]
     return out
 
@@ -521,7 +508,10 @@ class RateReport:
     quadrature_optimal_path holds the quadrature along the constant-split
     path (an upper bound on the rate, not its minimizer off c = 1/2); the
     key keeps its name for existing readers.  diagnostics["reasons"] names,
-    per m, why a value is +inf when the solver did not run ("determinant").
+    per m, why a value is +inf: "determinant" when the solver did not run,
+    "slsqp: <message>" when its final iterate was not accepted.
+    diagnostics["iterations"] and ["status"] carry SLSQP's iteration count
+    and exit status per m.
     """
 
     endpoint: list
@@ -549,11 +539,11 @@ class RateReport:
 
 
 def rate_report(dist: IncrementDistribution, g: GroupElement, ms,
-                alpha: float | None = None, **kwargs) -> RateReport:
+                alpha: float | None = None) -> RateReport:
     """Discretized ladder plus, when alpha is given and the endpoint is on the
     constraint set, the quadrature along the constant-split path and the
     published closed form."""
-    ladder = refinement_ladder(dist, g, ms, **kwargs)
+    ladder = refinement_ladder(dist, g, ms)
     quad = None
     paper = None
     notes = {}
@@ -594,6 +584,7 @@ def rate_report(dist: IncrementDistribution, g: GroupElement, ms,
         diagnostics={"notes": notes,
                      "iterations": {m: ladder[m].diagnostics.get("iterations")
                                     for m in ladder},
+                     "status": {m: ladder[m].diagnostics.get("status") for m in ladder},
                      "reasons": {m: ladder[m].diagnostics.get("reason")
                                  for m in ladder}},
     )

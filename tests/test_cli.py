@@ -228,3 +228,11 @@ def test_verify_bounds_csv_prints_pass_flags_as_digits(tmp_path):
     assert main(["verify-bounds", "--pairs", "3", "--out-json", str(tmp_path / "vb.json"),
                  "--out-csv", str(csv)]) == 0
     assert [line.rsplit(",", 1)[1] for line in csv.read_text().splitlines()[1:]] == ["1"] * 3
+
+
+@pytest.mark.parametrize("ms", [",", "4,x", "2.5"])
+def test_bad_integer_list_is_usage_error(ms, endpoint_file, capsys):
+    assert main(["rate", "--alpha", "1", "--endpoint", endpoint_file, "--m", ms]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and "Traceback" not in captured.err

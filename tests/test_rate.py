@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from liewalk import (
     AlgebraVector,
@@ -11,6 +12,7 @@ from liewalk import (
     SampledPath,
     closed_form_rate_s2,
     discretized_rate,
+    example_model,
     exp_matrix,
     legendre,
     logarithmic_derivative,
@@ -20,8 +22,10 @@ from liewalk import (
     refinement_ladder,
 )
 from liewalk.lie import _expm
-from liewalk.rate import _penalties
+from liewalk.rate import _penalty
 from logm_reference import logm as reference_logm
+from test_acceptance import minimizing_path_s2
+from test_legendre import generator_law_3x3
 
 
 def line_endpoint(c, alpha=1.0):
@@ -309,6 +313,21 @@ def test_discretized_point_mass_endpoint():
     assert np.isinf(res_off.value)
 
 
+def test_point_mass_has_no_variables():
+    # its one segment list reaches exp(x) at every m, and nothing else on
+    # the determinant line: this endpoint has the trace of x
+    x = AlgebraVector([[-0.4, 0.4], [0.3, -0.3]])
+    pm = IncrementDistribution.point_mass(x)
+    for m in (1, 4):
+        res = discretized_rate(pm, exp_matrix(x), m)
+        assert res.value == pytest.approx(0.0, abs=1e-10)
+        assert res.constraint_residual <= 1e-12 and len(res.segments) == m
+    on_line = exp_matrix(AlgebraVector([[-0.5, 0.5], [0.2, -0.2]]))
+    res = discretized_rate(pm, on_line, 4)
+    assert np.isinf(res.value) and res.segments is None
+    assert res.diagnostics["reason"].startswith("point mass")
+
+
 # ---------------------------------------------------------------------------
 # convexity/averaging and segment-log consistency on explicit paths
 
@@ -399,12 +418,12 @@ def test_penalties_bit_identical_to_loop(rng):
     prods = np.concatenate([near, far, no_log]).reshape(31, 1, 2, 2)
     loop = np.array([reference_penalty(p, g) for p in prods[:, 0]]).reshape(31, 1)
     assert np.isinf(loop[-1, 0]) and np.isfinite(loop[:20]).all()
-    assert np.array_equal(_penalties(prods, g), loop)
-    # a singular product fails the stacked solve: every matrix goes one by one
+    assert np.array_equal(np.array([_penalty(p, g) for p in prods[:, 0]]).reshape(31, 1), loop)
+    # a singular product has no solve
     singular = np.concatenate([near[:3], [[[1.0, 1.0], [1.0, 1.0]]]])
     loop = np.array([reference_penalty(p, g) for p in singular])
     assert np.isinf(loop[-1])
-    assert np.array_equal(_penalties(singular, g), loop)
+    assert np.array_equal(np.array([_penalty(p, g) for p in singular]), loop)
 
 
 def test_penalties_of_a_nan_product_are_infinite(rng):
@@ -412,10 +431,10 @@ def test_penalties_of_a_nan_product_are_infinite(rng):
     g = g.entries
     prods = g @ (np.eye(2) + 0.05 * rng.standard_normal((4, 2, 2)))
     prods[2, 0, 0] = np.nan
-    got = _penalties(prods, g)
+    got = np.array([_penalty(p, g) for p in prods])
     assert got[2] == np.inf
     assert np.isfinite(got[[0, 1, 3]]).all()
-    assert np.array_equal(got[[0, 1, 3]], _penalties(prods[[0, 1, 3]], g))
+    assert np.array_equal(got[[0, 1, 3]], [_penalty(p, g) for p in prods[[0, 1, 3]]])
 
 
 def test_off_determinant_line_is_infinite_at_once(dist):
@@ -440,14 +459,106 @@ def test_on_determinant_line_within_rounding_runs_solver(dist):
 
 
 def test_ladder_values_of_looped_solver(dist):
-    # values the solver gave with one exp, penalty and dual Newton per
-    # segment, before it worked on stacks (the rate-ladder endpoints)
+    # where the penalty loop that preceded SLSQP stopped, at the rate-ladder
+    # endpoints: upper bounds now, with the Euler-Lagrange minimum below
     expected = {0.58: (0.011953054580261389, 0.011907368008878247),
                 0.7: (0.076868484082665, 0.07659910100084666)}
     for c, values in expected.items():
         g, _ = line_endpoint(c)
+        floor = rate_along_path(dist, minimizing_path_s2(1.0, g)) - 1e-9
         ladder = refinement_ladder(dist, g, [4, 8])
         for m, value in zip((4, 8), values):
-            assert ladder[m].value == pytest.approx(value, abs=1e-10), (c, m)
+            assert floor <= ladder[m].value <= value + 1e-12, (c, m)
             assert ladder[m].constraint_residual <= 1e-9
         assert ladder[8].value <= ladder[4].value
+
+
+# ---------------------------------------------------------------------------
+# the SLSQP solve: near the hull boundary, alpha != beta, 3x3, and its reports
+
+@pytest.mark.parametrize("c", [0.97, 0.99])
+def test_ladder_near_the_hull_boundary_reaches_the_minimum(dist, c):
+    g, _ = line_endpoint(c)
+    minimum = rate_along_path(dist, minimizing_path_s2(1.0, g))
+    ladder = refinement_ladder(dist, g, [4, 8, 16, 32])
+    values = [ladder[m].value for m in (4, 8, 16, 32)]
+    assert all(b < a for a, b in zip(values, values[1:])), values
+    assert minimum - 1e-9 <= values[-1] <= 1.01 * minimum, (values[-1], minimum)
+    assert max(ladder[m].constraint_residual for m in ladder) <= 1e-12
+
+
+def test_unequal_rates_reach_a_product_endpoint():
+    # two segments with mixes c and 1 - c of the atoms build g; each costs h(c)
+    dist2 = example_model(1.0, 2.0).distribution()
+    a, b = np.array([[-1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [2.0, -2.0]])
+    c = 0.457
+    g = GroupElement(_expm(0.5 * (c * a + (1 - c) * b)) @ _expm(0.5 * ((1 - c) * a + c * b)))
+    h = c * np.log(c) + (1 - c) * np.log(1 - c) + np.log(2.0)
+    results = {m: discretized_rate(dist2, g, m) for m in (2, 4, 8)}
+    for res in results.values():
+        assert np.isfinite(res.value) and res.constraint_residual <= 1e-12
+    assert results[2].value == pytest.approx(h, abs=1e-10)
+
+
+def test_3x3_ladder_is_finite_and_monotone():
+    law = generator_law_3x3()
+    hull_points = np.random.default_rng(0).dirichlet(np.ones(4), size=4) @ \
+        law.atom_stack().reshape(4, 9)
+    g = np.eye(3)
+    for p in hull_points:
+        g = g @ _expm(p.reshape(3, 3) / 4)
+    ladder = refinement_ladder(law, GroupElement(g), [4, 8, 16])
+    values = [ladder[m].value for m in (4, 8, 16)]
+    assert np.isfinite(values).all()
+    assert values[0] <= 0.3519      # the cost of the path through the hull points
+    assert values[2] <= values[1] <= values[0]
+    assert max(ladder[m].constraint_residual for m in ladder) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2.5, True, "4", 0, -1])
+def test_discretized_rate_rejects_a_bad_m(dist, m):
+    g, _ = line_endpoint(0.7)
+    with pytest.raises(InvalidArgumentError, match="positive integer"):
+        discretized_rate(dist, g, m)
+
+
+def test_discretized_rate_takes_numpy_integers(dist):
+    g, _ = line_endpoint(0.7)
+    assert discretized_rate(dist, g, np.int64(2)).m == 2
+
+
+def test_rate_report_needs_a_level(dist):
+    g, _ = line_endpoint(0.7)
+    with pytest.raises(InvalidArgumentError):
+        rate_report(dist, g, [], alpha=1.0)
+
+
+def test_rate_report_carries_the_solver_status(dist):
+    g, _ = line_endpoint(0.7)
+    report = rate_report(dist, g, [2, 4], alpha=1.0)
+    assert report.diagnostics["status"] == {2: 0, 4: 0}
+    assert all(n > 0 for n in report.diagnostics["iterations"].values())
+    assert report.diagnostics["reasons"] == {2: None, 4: None}
+
+
+def test_infeasible_final_iterate_is_infinite_with_the_slsqp_message(dist, monkeypatch):
+    g, u = line_endpoint(0.7)
+    solve = scipy.optimize.minimize
+
+    def stray(fun, x0, **kwargs):
+        res = solve(fun, x0, **kwargs)
+        res.x = res.x + 0.01          # off the constraint, inside the hull
+        res.message = "stopped elsewhere"
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stray)
+    # a seed that misses g: nothing feasible to report
+    _, v = line_endpoint(0.6)
+    res = discretized_rate(dist, g, 4, seed_segments=[0.25 * v] * 4)
+    assert np.isinf(res.value) and res.segments is None
+    assert res.diagnostics["reason"] == "slsqp: stopped elsewhere"
+    assert res.diagnostics["residual"] > 1e-12
+    # the default start, exp(u / 4) four times, reaches g: it is reported
+    res = discretized_rate(dist, g, 4)
+    assert res.value == pytest.approx(legendre(dist, u).value, abs=1e-9)
+    assert "reason" not in res.diagnostics and res.constraint_residual <= 1e-12
