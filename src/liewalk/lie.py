@@ -248,27 +248,20 @@ def _pade7(x: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of one matrix or of a (..., d, d) stack.
 
-    A stack gives each matrix its own scaling exponent; every matrix comes
-    out bit for bit as it does on its own.
+    Each matrix gets its own scaling exponent, so every matrix of a stack
+    comes out bit for bit as it does on its own; one matrix is a one-row
+    stack.
     """
-    if a.ndim == 2:
-        norm = np.linalg.norm(a)
-        s = 0
-        if norm >= 0.5:
-            s = int(np.ceil(np.log2(norm / 0.5)))
-        r = _pade7(a / (2.0 ** s))
-        for _ in range(s):
-            r = r @ r
-        return r
-    norms = _frobenius_norms(a)
+    stack = a if a.ndim > 2 else a[None]
+    norms = _frobenius_norms(stack)
     s = np.zeros(norms.shape, dtype=np.int64)
     big = norms >= 0.5
     s[big] = np.ceil(np.log2(norms[big] / 0.5))
-    r = _pade7(a / np.ldexp(1.0, s)[..., None, None])
+    r = _pade7(stack / np.ldexp(1.0, s)[..., None, None])
     for k in range(int(s.max(initial=0))):
         sq = s > k
         r[sq] = r[sq] @ r[sq]
-    return r
+    return r if a.ndim > 2 else r[0]
 
 
 def exp_matrix(x: AlgebraVector) -> GroupElement:

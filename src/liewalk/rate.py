@@ -93,9 +93,9 @@ class ClosedFormPath2:
         u2 = ((1.0 - a) * db + b * da) / den
         return AlgebraVector([[-u1, u1], [u2, -u2]])
 
-    def _velocities(self, ts: np.ndarray, h: float | None = None):
-        """log_derivative at each t of ts, node by node (h is unused): the (n, 2, 2)
-        stack, NaN from the first t where it raises, and {that row: its error}."""
+    def _velocities(self, ts: np.ndarray):
+        """log_derivative at each t of ts, node by node: the (n, 2, 2) stack,
+        NaN from the first t where it raises, and {that row: its error}."""
         out = np.full((len(ts), 2, 2), np.nan)
         for i, t in enumerate(ts):
             try:
@@ -109,7 +109,9 @@ class SampledPath:
     """Path given by samples (t_j, group matrix), log-linearly interpolated.
 
     Requires strictly increasing t_j covering [0, 1] with gamma(0) = I.
-    Consecutive samples must be within log domain of each other.
+    Consecutive samples must be within log domain of each other.  On segment
+    j the path is mats[j] exp(theta L_j), L_j = log(mats[j]^-1 mats[j + 1]),
+    so its velocity there is exactly L_j / (t_{j+1} - t_j).
     """
 
     def __init__(self, ts, mats):
@@ -132,10 +134,14 @@ class SampledPath:
             first = int(np.argmin(ok))
             raise OutOfDomainError(f"segment {first} has no principal log: {reasons[first]}")
 
+    def _segment(self, times: np.ndarray) -> np.ndarray:
+        """Index of the segment that holds each of times; t = 1 is in the last."""
+        return np.clip(np.searchsorted(self.ts, times, side="right") - 1, 0, len(self.ts) - 2)
+
     def _points(self, times: np.ndarray) -> np.ndarray:
         """gamma at each of times, all in [0, 1] up to 1e-12."""
         times = np.clip(times, 0.0, 1.0)
-        i = np.clip(np.searchsorted(self.ts, times, side="right") - 1, 0, len(self.ts) - 2)
+        i = self._segment(times)
         theta = (times - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
         return self.mats[i] @ _expm(theta[:, None, None] * self._segment_logs[i])
 
@@ -144,27 +150,23 @@ class SampledPath:
             raise InvalidArgumentError("t must lie in [0, 1]")
         return self._points(np.array([t], dtype=np.float64))[0]
 
-    def _velocities(self, ts: np.ndarray, h: float):
-        """Central differences log(gamma(t - h)^-1 gamma(t + h)) / (2h) at each t of ts,
-        on zero row sums: the (n, d, d) stack, NaN where a log fails, and {row: error}."""
-        if ts.min() - h < -1e-12 or ts.max() + h > 1.0 + 1e-12:
-            raise InvalidArgumentError("t +- h must stay inside [0, 1]")
-        points = self._points(np.concatenate([ts - h, ts + h]))
-        lg, _, reasons = _logm_stack(np.linalg.solve(points[:len(ts)], points[len(ts):]))
-        lg /= 2.0 * h
-        # roundoff projection back onto zero row sums
-        diag = np.arange(self.dim)
-        lg[:, diag, diag] -= lg.sum(axis=2)
-        return lg, {i: OutOfDomainError(msg) for i, msg in reasons.items()}
+    def _velocities(self, ts: np.ndarray):
+        """The exact velocity at each t of ts, its segment's log over the
+        segment's length: the (n, d, d) stack and no errors."""
+        if ts.min() < -1e-12 or ts.max() > 1.0 + 1e-12:
+            raise InvalidArgumentError("t must lie in [0, 1]")
+        i = self._segment(ts)
+        return self._segment_logs[i] / (self.ts[i + 1] - self.ts[i])[:, None, None], {}
 
 
-def logarithmic_derivative(path, t: float, h: float = 1e-5) -> AlgebraVector:
+def logarithmic_derivative(path, t: float) -> AlgebraVector:
     """gamma(t)^-1 gamma'(t) as an algebra element.
 
-    Closed-form paths use their analytic derivative; sampled paths use the
-    central difference log(gamma(t-h)^-1 gamma(t+h)) / (2h).
+    Closed-form paths use their analytic derivative; sampled paths are exact
+    too, their segment log over the segment's length.  At a sample time
+    inside (0, 1) a sampled path takes the segment that starts there.
     """
-    velocities, errors = path._velocities(np.array([t], dtype=np.float64), h)
+    velocities, errors = path._velocities(np.array([t], dtype=np.float64))
     if errors:
         raise errors[0]
     return AlgebraVector(velocities[0])
@@ -183,24 +185,23 @@ def _positive_int(name: str, n) -> int:
 
 def rate_along_path(dist: IncrementDistribution, path,
                     quad_nodes: int = GL_NODES_DEFAULT,
-                    subintervals: int = GL_SUBINTERVALS_DEFAULT,
-                    h: float = 1e-5) -> float:
+                    subintervals: int = GL_SUBINTERVALS_DEFAULT) -> float:
     """Composite Gauss-Legendre quadrature of Lstar along the path.
 
-    Returns +inf as soon as one node's velocity leaves the conjugate domain,
-    in node order: a later node whose velocity raises is not reached.  All
-    node velocities go through one lstar_interior_stack; only the nodes it
-    does not settle as inside (infinite, or near a face) go through
-    legendre(), which classifies boundary and off-hull velocities.
+    The node velocities are exact: a closed-form path's analytic ones, or a
+    sampled path's segment logs over the segment lengths, taken when it was
+    built.  Returns +inf as soon as one node's velocity leaves the conjugate
+    domain, in node order: a later node whose velocity raises is not
+    reached.  All node velocities go through one lstar_interior_stack; only
+    the nodes it does not settle as inside (infinite, or near a face) go
+    through legendre(), which classifies boundary and off-hull velocities.
     """
     quad_nodes = _positive_int("quad_nodes", quad_nodes)
     subintervals = _positive_int("subintervals", subintervals)
-    if not 0.0 < h < np.inf:
-        raise InvalidArgumentError(f"h must be positive and finite, got {h!r}")
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     width = 1.0 / subintervals
     ts = ((np.arange(subintervals) * width)[:, None] + 0.5 * (nodes + 1.0) * width).ravel()
-    velocities, errors = path._velocities(ts, h)
+    velocities, errors = path._velocities(ts)
     if velocities.shape[-1] != dist.dim:
         raise InvalidArgumentError("dimension mismatch between path and support")
     geom = _support_geometry(dist)

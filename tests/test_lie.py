@@ -34,6 +34,7 @@ from liewalk.lie import (
     operator_norm,
 )
 from liewalk.serialize import algebra_from_jsonable, group_from_jsonable, matrix_to_jsonable
+from expm_reference import expm as reference_expm
 from logm_reference import logm as reference_logm
 
 
@@ -382,14 +383,20 @@ def test_operator_norm_bounds_40_digit_svd_from_above(rng):
 # ---------------------------------------------------------------------------
 # stacked exponential
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_expm_stack_bit_identical_to_loop(rng, d):
-    # norms from 0 to 3: unscaled matrices and ones squared up to three times
-    norms = np.concatenate([[0.0, 0.5, 1.0, 2.0], rng.uniform(0.0, 3.0, 60)])
-    mats = rng.standard_normal((len(norms), d, d))
+@pytest.mark.parametrize("kind", [2, 3, "ad6"])
+def test_expm_stack_bit_identical_to_loop(rng, kind):
+    # norms from 0 to 3: unscaled matrices and ones squared up to three times;
+    # "ad6" takes the 6x6 ad operators of 3x3 algebra elements, as the BCH suite does
+    norms = np.concatenate([[0.0, 0.5, 1.0, 2.0], rng.uniform(0.0, 3.0, 396)])
+    if kind == "ad6":
+        mats = _ad_stack(rng.standard_normal((len(norms), 3, 3)) @ (np.eye(3) - 1 / 3))
+    else:
+        mats = rng.standard_normal((len(norms), kind, kind))
     mats *= (norms / np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
-    stacked = _expm(mats.reshape(8, -1, d, d)).reshape(mats.shape)
-    assert np.array_equal(stacked, np.array([_expm(m) for m in mats]))
+    looped = np.array([reference_expm(m) for m in mats])
+    assert np.array_equal(np.array([_expm(m) for m in mats]), looped)
+    stacked = _expm(mats.reshape(8, -1, *mats.shape[1:])).reshape(mats.shape)
+    assert np.array_equal(stacked, looped)
 
 
 # ---------------------------------------------------------------------------

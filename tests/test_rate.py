@@ -24,7 +24,7 @@ from liewalk import (
 from liewalk.lie import _expm
 from liewalk.rate import _penalty
 from logm_reference import logm as reference_logm
-from test_acceptance import minimizing_path_s2
+from test_acceptance import minimizing_path_s2, sampled_minimizer
 from test_legendre import generator_law_3x3
 
 
@@ -78,31 +78,43 @@ def test_one_parameter_derivative_constant():
 
 
 def test_sampled_path_central_difference():
+    # a sampled path's velocity, its segment log over the segment's length, is
+    # the central difference of the samples across the segment; on a sampled
+    # one-parameter subgroup it is the generator, at the ends too
     x = AlgebraVector([[-0.6, 0.6], [0.4, -0.4]])
     ts = np.linspace(0, 1, 201)
     mats = np.array([_expm(t * x.entries) for t in ts])
     path = SampledPath(ts, mats)
-    for t in (0.1, 0.5, 0.9):
-        assert (logarithmic_derivative(path, t, h=1e-4) - x).norm < 1e-7
+    for t in (0.0, 0.1, 0.5, 0.9, 1.0):
+        assert (logarithmic_derivative(path, t) - x).norm < 1e-11
 
 
 def test_central_difference_is_second_order():
+    # at a segment's midpoint the segment log over its length is a central
+    # difference of the sampled curve: halving dt cuts its error ~4x
     path = theta_split_path()
-    ts = np.linspace(0, 1, 4001)
-    sampled = SampledPath(ts, np.array([path.point(t) for t in ts]))
-    t = 0.4375  # on the sample grid for both step sizes
-    exact = path.log_derivative(t)
-    e1 = (logarithmic_derivative(sampled, t, h=0.02) - exact).norm
-    e2 = (logarithmic_derivative(sampled, t, h=0.01) - exact).norm
-    assert e2 < e1 / 3.0  # O(h^2): halving h cuts the error ~4x
+    errors = []
+    for n in (100, 200, 400):
+        ts = np.linspace(0, 1, n + 1)
+        sampled = SampledPath(ts, np.array([path.point(t) for t in ts]))
+        errors.append(max((logarithmic_derivative(sampled, t) - path.log_derivative(t)).norm
+                          for t in 0.5 * (ts[:-1] + ts[1:])))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5, errors
 
 
 def test_derivative_requires_interior_window():
+    # t must lie in [0, 1]; t = 0 and t = 1 read the first and last segments
     path = theta_split_path()
     ts = np.linspace(0, 1, 101)
     sampled = SampledPath(ts, np.array([path.point(t) for t in ts]))
+    first = logarithmic_derivative(sampled, 0.0)
+    last = logarithmic_derivative(sampled, 1.0)
+    assert np.array_equal(first.entries, logarithmic_derivative(sampled, 0.005).entries)
+    assert np.array_equal(last.entries, logarithmic_derivative(sampled, 0.995).entries)
+    assert np.array_equal(first.entries, sampled._segment_logs[0] / ts[1])
     with pytest.raises(InvalidArgumentError):
-        logarithmic_derivative(sampled, 0.0, h=1e-3)
+        logarithmic_derivative(sampled, 1.5)
 
 
 def test_sampled_path_validation():
@@ -231,22 +243,20 @@ def test_discretized_single_segment_is_conjugate(dist):
 def exact_two_segment_scan(dist, g, grid=4001):
     """Independent oracle: exhaustive scan of the one-parameter family of
     feasible two-segment splits (second segment closed by the exact log)."""
-    from liewalk.legendre import _support_geometry, lstar_interior
+    from liewalk.legendre import _support_geometry, lstar_interior_stack
 
     geom = _support_geometry(dist)
-    best = np.inf
-    for t1 in np.linspace(-0.72, 0.72, grid):
-        mx1 = geom.xbar + t1 * geom.frame[0]
-        first = _expm(mx1 / 2.0)
+    mx1 = geom.xbar + np.linspace(-0.72, 0.72, grid)[:, None, None] * geom.frame[0]
+    mx2 = np.full_like(mx1, np.nan)  # a split with no log stays NaN, which costs +inf
+    for k, first in enumerate(_expm(mx1 / 2.0)):
         try:
-            mx2 = 2.0 * reference_logm(np.linalg.solve(first, g.entries))
-        except Exception:
-            continue
-        v1, _ = lstar_interior(geom, mx1)
-        v2, _ = lstar_interior(geom, mx2)
-        if np.isfinite(v1) and np.isfinite(v2):
-            best = min(best, 0.5 * (v1 + v2))
-    return best
+            mx2[k] = 2.0 * reference_logm(np.linalg.solve(first, g.entries))
+        except (OutOfDomainError, np.linalg.LinAlgError):
+            pass
+    starts = np.zeros((grid, geom.rank))
+    v1, _ = lstar_interior_stack(geom, mx1, starts)
+    v2, _ = lstar_interior_stack(geom, mx2, starts)
+    return float(np.min(0.5 * (v1 + v2)))
 
 
 def test_discretized_two_segments_matches_scan_oracle(dist):
@@ -378,6 +388,18 @@ def test_segment_log_exact_on_one_parameter_path():
             seg_log = reference_logm(np.linalg.solve(path.point(a), path.point(b)))
             worst = max(worst, np.linalg.norm(seg_log - u.entries / m))
         assert worst < 1e-12
+
+
+@pytest.mark.parametrize("c", [0.52, 0.58, 0.4 / (1 - np.exp(-1.0)), 0.7, 0.8])
+def test_sampled_replay_of_the_ladder_is_its_cost(dist, c):
+    # the partial products of a discretized minimizer, read as a sampled path,
+    # have its segments' exact velocities: the quadrature replays the cost at
+    # every level (acceptance criterion 5 asks 1e-9 at m = 32 alone)
+    g, _ = line_endpoint(c)
+    ladder = refinement_ladder(dist, g, [2, 4, 8, 16, 32])
+    for m in (4, 8, 16, 32):
+        replay = rate_along_path(dist, sampled_minimizer(ladder[m].segments))
+        assert abs(replay - ladder[m].value) <= 1e-13, (m, replay - ladder[m].value)
 
 
 # ---------------------------------------------------------------------------

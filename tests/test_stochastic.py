@@ -7,6 +7,7 @@ from liewalk import (
     algebra_basis,
     example_model,
     exp_cone_certificate,
+    exp_matrix,
     is_group_member,
     is_positive_cone,
 )
@@ -110,8 +111,6 @@ def test_cone_certificate_random_d4(rng):
 def test_cone_to_semigroup_property(rng):
     # exp of the cone stays an invertible transition matrix
     for d in (2, 3, 4):
-        from liewalk import exp_matrix
-
         for _ in range(340):
             g = exp_matrix(random_cone(rng, d, 3.0)).entries
             assert g.min() >= -1e-12
@@ -126,26 +125,34 @@ def test_algebra_dimension_count():
 # ---------------------------------------------------------------------------
 # the reference model
 
+def model_steps(model, n):
+    """The walk's one-step maps exp(A/n), exp(B/n), from the exponential."""
+    return exp_matrix(model.atom_a * (1 / n)), exp_matrix(model.atom_b * (1 / n))
+
+
+def closed_form_steps(alpha, beta, t):
+    """exp(tA), exp(tB) of the two-state model in closed form."""
+    ea, eb = np.exp(-t * alpha), np.exp(-t * beta)
+    return np.array([[ea, 1 - ea], [0, 1]]), np.array([[1, 0], [1 - eb, eb]])
+
+
 def test_model_step_closed_forms():
     model = example_model(1.0, 2.0)
     for n in (1, 10, 1000):
-        sa, sb = model.step_matrices(n)
-        np.testing.assert_allclose(
-            sa.entries,
-            [[np.exp(-1 / n), 1 - np.exp(-1 / n)], [0, 1]], atol=1e-15)
-        np.testing.assert_allclose(
-            sb.entries,
-            [[1, 0], [1 - np.exp(-2 / n), np.exp(-2 / n)]], atol=1e-15)
+        sa, sb = model_steps(model, n)
+        ca, cb = closed_form_steps(1.0, 2.0, 1 / n)
+        np.testing.assert_allclose(sa.entries, ca, atol=1e-15)
+        np.testing.assert_allclose(sb.entries, cb, atol=1e-15)
 
 
 def test_model_steps_approach_identity():
     model = example_model(1.0, 1.0)
-    sa, _ = model.step_matrices(10 ** 8)
+    sa, _ = model_steps(model, 10 ** 8)
     np.testing.assert_allclose(sa.entries, np.eye(2), atol=1e-7)
 
 
 def test_model_rejects_bad_parameters():
-    for bad in ((0.0, 1.0), (1.0, -2.0)):
+    for bad in ((0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (1.0, np.nan)):
         with pytest.raises(InvalidArgumentError):
             example_model(*bad)
 
@@ -157,7 +164,7 @@ def test_model_distribution(model, dist):
 
 
 def test_product_closure_of_steps(rng, model):
-    sa, sb = model.step_matrices(50)
+    sa, sb = model_steps(model, 50)
     prod = np.eye(2)
     for _ in range(200):
         prod = prod @ (sa.entries if rng.random() < 0.5 else sb.entries)

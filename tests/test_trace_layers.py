@@ -70,3 +70,16 @@ def test_traced_walk_counts_every_step_product(dist):
     assert tracer.calls["walk.simulate_walk"] == 1
     assert tracer.calls["walk.point"] == 1
     assert liewalk.WalkTrajectory.point is original_point
+
+
+def test_traced_exponential_is_one_call_per_exp_matrix():
+    # one matrix is a one-row stack inside _expm, not a second call to it
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        for x in ([[-0.7, 0.7], [0.3, -0.3]], [[-3.0, 2.0, 1.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]]):
+            liewalk.exp_matrix(AlgebraVector(x))
+    finally:
+        tracer.restore()
+    assert tracer.calls["lie.expm"] == 2
