@@ -8,7 +8,11 @@ per-step chain's, but about as large: on the two-state walk at n = 200,000
 both lie within 9e-13 of a long-double recurrence.  For 2x2 step matrices
 ``indexed_products`` composes affine maps of the product's first column by
 pairwise reduction, which agrees with the stacked matmul chain to about
-1e-15 per step; larger step matrices take one stacked matmul per step.
+1e-15 per step.  For a two-atom law it reads each sample's aligned blocks
+of 8 steps as one byte into a table of the 256 composed block maps, built
+by the same reduction, so its products are bit for bit those of the
+reduction over single steps and the 1e-15 per step tolerance stands.
+Larger step matrices take one stacked matmul per step.
 """
 
 import numpy as np
@@ -54,13 +58,20 @@ def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
                      left: np.ndarray) -> np.ndarray:
     """Endpoint of left @ prod_j step_mats[idx[s, j]] for every sample s.
 
-    2x2 step matrices must have unit row sums within MEMBERSHIP_TOL; their
-    products come from ``_stoch2_products``.  Larger ones take one stacked
-    product per step, vectorized across samples.
+    idx must hold integers in [0, k) for k step matrices.  2x2 step matrices
+    must have unit row sums within MEMBERSHIP_TOL; their products come from
+    ``_stoch2_products``.  Larger ones take one stacked product per step,
+    vectorized across samples.
     """
     step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
     left = np.ascontiguousarray(left, dtype=np.float64)
     idx = np.ascontiguousarray(idx)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidArgumentError(f"atom indices must be integers, not {idx.dtype}")
+    if idx.size and not (0 <= idx.min() and idx.max() < len(step_mats)):
+        raise InvalidArgumentError(
+            f"atom indices must lie in [0, {len(step_mats)}); "
+            f"got [{idx.min()}, {idx.max()}]")
     if step_mats.shape[-1] == 2:
         return left @ _stoch2_products(step_mats, idx)
     n_samples, n_steps = idx.shape
@@ -77,12 +88,32 @@ def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
 # (a_l a_r, b_l a_r + b_r), and the identity's column is (1, 0), so the
 # product of a chain is [[A + B, 1 - A - B], [B, 1 - B]] for its composed
 # map (A, B).
+#
+# A two-atom law has only 256 distinct blocks of 8 steps.  One table holds
+# the composed map of every block, and each sample's aligned blocks gather
+# from it through one code each: `np.packbits` reads a block's atom indices
+# as a byte, first step most significant, and the table's rows are the bits
+# of their code in the same order.  The table composes its rows with
+# `_compose` itself, so the first three passes of `_compose` over a whole
+# chain do exactly the table's arithmetic on each aligned block.  The last
+# block and the n mod 8 leftover steps are composed together by `_compose`,
+# which folds the odd ends as the pass over the whole chain would.  Every
+# product is therefore bit for bit the pairwise reduction's over single
+# steps, with one gather per eight steps.  Other laws, and chains shorter
+# than a block, gather one map per step.
 
-_CHUNK_ELEMENTS = 1 << 20   # gathered maps per chunk of samples (8 MB each for a, b)
+# Samples are taken in chunks of about _CHUNK_ELEMENTS steps; a chunk's
+# gathered maps take 8 MB each for a and b, or 1 MB with the block table.
+_CHUNK_ELEMENTS = 1 << 20
+_BLOCK = 8          # steps per table entry: one packed byte of two-atom indices
 
 
 def _stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """prod_j step_mats[idx[s, j]] for every sample s, for 2x2 unit-row-sum steps."""
+    """prod_j step_mats[idx[s, j]] for every sample s, for 2x2 unit-row-sum steps.
+
+    Entries of idx must lie in [0, k), as indexed_products checks: packbits
+    reads any nonzero entry as 1.
+    """
     row_err = np.abs(step_mats.sum(axis=-1) - 1.0).max()
     if not row_err <= MEMBERSHIP_TOL:
         raise InvalidArgumentError(
@@ -90,11 +121,24 @@ def _stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     atom_a = step_mats[:, 0, 0] - step_mats[:, 1, 0]
     atom_b = step_mats[:, 1, 0]
     n_samples, n_steps = idx.shape
+    blocked = len(step_mats) == 2 and n_steps >= _BLOCK
+    if blocked:
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+        table_a, table_b = _compose(atom_a[bits], atom_b[bits])
+        whole, leftover = divmod(n_steps, _BLOCK)
     out = np.empty((n_samples, 2, 2))
     rows = max(1, _CHUNK_ELEMENTS // n_steps)
     for start in range(0, n_samples, rows):
         part = idx[start:start + rows]
-        a, b = _compose(atom_a[part], atom_b[part])
+        if blocked:
+            codes = np.packbits(part, axis=1)[:, :whole]
+            a, b = np.take(table_a, codes), np.take(table_b, codes)
+            if leftover:
+                last = part[:, (whole - 1) * _BLOCK:]
+                a[:, -1], b[:, -1] = _compose(atom_a[last], atom_b[last])
+        else:
+            a, b = atom_a[part], atom_b[part]
+        a, b = _compose(a, b)
         p = out[start:start + rows]
         p[:, 0, 0] = a + b
         p[:, 1, 0] = b

@@ -90,7 +90,7 @@ def _log(x: float) -> float:
 
 def _event_distances(dist, n, event, idx):
     """Distance-proxy values from the ball center to each sample endpoint."""
-    step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
+    step_mats = _expm(dist.atom_stack() / n)
     center_inv = np.linalg.inv(event.center.entries)
     end = indexed_products(step_mats, idx, center_inv)
     if dist.dim == 2:

@@ -44,3 +44,35 @@ def stoch2_partial_products_longdouble(steps: np.ndarray) -> np.ndarray:
     out[:, :, 0] = col
     out[:, :, 1] = 1.0 - col
     return out
+
+
+def stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """prod_j step_mats[idx[s, j]] for 2x2 unit-row-sum steps, one step at a time.
+
+    The gather-then-compose kernel that liewalk._kernels ran before its block
+    table: every step's affine map (a, b) = (S00 - S10, S10) of the first
+    column is gathered, and ``compose_pairwise`` reduces each row.
+    """
+    step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
+    atom_a = step_mats[:, 0, 0] - step_mats[:, 1, 0]
+    atom_b = step_mats[:, 1, 0]
+    a, b = compose_pairwise(atom_a[idx], atom_b[idx])
+    out = np.empty((len(idx), 2, 2))
+    out[:, 0, 0] = a + b
+    out[:, 1, 0] = b
+    out[:, :, 1] = 1.0 - out[:, :, 0]
+    return out
+
+
+def compose_pairwise(a: np.ndarray, b: np.ndarray):
+    """Compose each row's affine maps left to right, pairwise: log2(n) passes."""
+    while a.shape[1] > 1:
+        m = a.shape[1]
+        a_r = a[:, 1::2]
+        b_next = b[:, 0:m - 1:2] * a_r + b[:, 1::2]
+        a_next = a[:, 0:m - 1:2] * a_r
+        if m % 2:
+            b_next[:, -1] = b_next[:, -1] * a[:, -1] + b[:, -1]
+            a_next[:, -1] *= a[:, -1]
+        a, b = a_next, b_next
+    return a[:, 0], b[:, 0]

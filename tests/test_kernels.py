@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from liewalk import AlgebraVector, IncrementDistribution, simulate_walk
+from liewalk import AlgebraVector, IncrementDistribution, _kernels, simulate_walk
 from liewalk._kernels import indexed_products, partial_products, stoch2_log_norms
 from liewalk.errors import InvalidArgumentError
 from liewalk.lie import OutOfDomainError, _expm, _logm
 from logm_reference import logm as reference_logm
 from products_reference import partial_products as looped_partial_products
-from products_reference import stoch2_partial_products_longdouble
+from products_reference import stoch2_partial_products_longdouble, stoch2_products
 
 
 @pytest.fixture()
@@ -135,6 +135,71 @@ def test_indexed_products_2x2_off_group_raises(step_mats):
     bad[1, 0, 1] += 1e-8
     with pytest.raises(InvalidArgumentError):
         indexed_products(bad, np.zeros((2, 3), dtype=np.uint8), np.eye(2))
+
+
+def random_stoch2_steps(rng, k, n):
+    """exp(X / n) for k random 2x2 generators X; distinct ones do not commute."""
+    atoms = rng.uniform(0.0, 1.5, size=(k, 2, 2))
+    for a in atoms:
+        np.fill_diagonal(a, 0.0)
+        a -= np.diag(a.sum(axis=1))
+    return _expm(atoms / n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 17])   # only k = 2 reads the block table
+def test_stoch2_products_bit_identical_to_stepwise_compose(rng, k):
+    # the block table does the first three passes of the pairwise reduction
+    # over single steps, and the last block folds the leftover steps as it does
+    for n in [*range(1, 71), 161, 1023, 20000]:
+        steps = random_stoch2_steps(rng, k, n)
+        idx = rng.integers(0, k, size=(4 if n > 1000 else 30, n)).astype(np.uint8)
+        assert np.array_equal(_kernels._stoch2_products(steps, idx),
+                              stoch2_products(steps, idx)), n
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+def test_stoch2_products_any_integer_index_dtype(rng, k, dtype):
+    steps = random_stoch2_steps(rng, k, 37)
+    idx = rng.integers(0, k, size=(20, 37)).astype(np.uint8)
+    assert np.array_equal(_kernels._stoch2_products(steps, idx.astype(dtype)),
+                          stoch2_products(steps, idx))
+
+
+@pytest.mark.parametrize("n_steps", [160, 165])
+def test_stoch2_products_bit_identical_across_row_chunks(rng, monkeypatch, n_steps):
+    # 1,000 steps per chunk: six rows, and 50 samples span nine chunks
+    monkeypatch.setattr(_kernels, "_CHUNK_ELEMENTS", 1000)
+    steps = random_stoch2_steps(rng, 2, n_steps)
+    idx = rng.integers(0, 2, size=(50, n_steps)).astype(np.uint8)
+    assert np.array_equal(_kernels._stoch2_products(steps, idx), stoch2_products(steps, idx))
+
+
+def test_stoch2_products_block_codes_first_step_most_significant():
+    # the two-state atoms do not commute, so a block read in the wrong bit
+    # order picks the product of its steps in reverse
+    alpha = 3.0
+    atoms = np.array([[[-alpha, alpha], [0.0, 0.0]], [[0.0, 0.0], [alpha, -alpha]]])
+    steps = _expm(atoms / 16)
+    one_hot = np.eye(16, dtype=np.uint8)    # row j: atom 1 at step j only
+    idx = np.concatenate([one_hot, 1 - one_hot])
+    got = _kernels._stoch2_products(steps, idx)
+    assert np.array_equal(got, stoch2_products(steps, idx))
+    # mirroring the first block's steps moves every product
+    assert (np.abs(got[:8] - got[7::-1]).max(axis=(1, 2)) > 1e-6).all()
+    np.testing.assert_allclose(got, stacked_loop(steps, idx, np.eye(2)), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("bad", [
+    np.array([[0, -1, 1]], dtype=np.int8),    # negative: would pick the last atom
+    np.array([[0, 1, 3]], dtype=np.uint8),    # k = 3 atoms: one past the end
+    np.array([[0.0, 1.0, 2.0]]),              # not integers
+])
+def test_indexed_products_rejects_bad_indices(d, bad):
+    steps = np.broadcast_to(np.eye(d), (3, d, d))
+    with pytest.raises(InvalidArgumentError):
+        indexed_products(steps, bad, np.eye(d))
 
 
 def test_stoch2_log_norms_vs_general_log(rng):

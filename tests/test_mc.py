@@ -304,3 +304,43 @@ def test_event_distances_2x2_match_stacked_loop(dist, n):
     for j in range(n):
         out = out @ step_mats[idx[:, j]]
     np.testing.assert_allclose(got, stoch2_log_norms(out), rtol=0, atol=1e-15 * n)
+
+
+# Rows of two curves (n = 20, 37, 160; 3,000 samples in two shards), pinned
+# as the little-endian float64 bytes of (weighted_hits, p, p_lo, p_hi,
+# rate, rate_lo, rate_hi, ess): the endpoint kernels must keep every hit
+# where it was.
+PINNED_ROW_FIELDS = ("weighted_hits", "p", "p_lo", "p_hi", "rate", "rate_lo", "rate_hi", "ess")
+PINNED_ROWS = {
+    "none": [
+        "0000000000649740560e2db29defdf3f09e4f6f7aecade3f1ddf58934b8ae03f"
+        "fc1ac8ccbacba13f9675648ffde4a03f2ce206f7dabaa23f0000000000649740",
+        "0000000000fc9d40df96b53a2678e43fb85fc83908eae33fbe07e2135703e53f"
+        "abf37e083fbb883f5d2a3558c547873fe8b9e7b8da408a3f0000000000fc9d40",
+        "000000000034a6408479a2fe8d50ee3f509c8dab430aee3fb2f471e0788dee3f"
+        "945db8243e29363f4af5b8db5cf5323f65e2693b4ee3393f000000000034a640",
+    ],
+    "auto": [
+        "7dc65bce616f4040a4b7809d7a70863f8bfddbc1ec6a843fbb7125790876883f"
+        "16109bc069e3cc3fb583274c1356cc3f73af90bb1a7ecd3f231b7ef3358c7940",
+        "4ca6dc1297f406409394e51f81574f3fd3f98fa766104b3faa971dcc4dcf513f"
+        "038de625110dc83f01100848c29bc73f1093c053078fc83f422c3b5e601e6840",
+        "9ae7c97144d2743ebba8e879976dbc3ddf14738fd795af3d7de30b962188c43d"
+        "fb4e3dfeb780c33f1e57f6b26735c33f868e13591bf9c33fdd9049d8e6513340",
+    ],
+}
+
+
+@pytest.mark.parametrize("policy, center_x, radius, seed", [
+    ("none", None, 0.1, 57),
+    ("auto", line_x(0.8), 0.05, 59),
+])
+def test_rate_curve_rows_pinned(dist, policy, center_x, radius, seed):
+    event = BallEvent(exp_matrix(dist.mean if center_x is None else center_x), radius)
+    curve = empirical_rate_curve(dist, event, [20, 37, 160], 3000, seed=seed,
+                                 tilt_policy=policy, shards=2)
+    assert [(r.n, r.samples, r.degenerate) for r in curve.rows] == [
+        (20, 3000, False), (37, 3000, False), (160, 3000, False)]
+    got = [np.array([getattr(r, f) for f in PINNED_ROW_FIELDS], dtype="<f8").tobytes().hex()
+           for r in curve.rows]
+    assert got == PINNED_ROWS[policy]
