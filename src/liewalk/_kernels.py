@@ -121,6 +121,8 @@ def _stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     atom_a = step_mats[:, 0, 0] - step_mats[:, 1, 0]
     atom_b = step_mats[:, 1, 0]
     n_samples, n_steps = idx.shape
+    if n_steps == 0:
+        return np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
     blocked = len(step_mats) == 2 and n_steps >= _BLOCK
     if blocked:
         bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)

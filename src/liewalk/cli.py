@@ -260,11 +260,10 @@ def _cmd_rate(args, file_cfg) -> int:
 
 
 def _cmd_mc(args, file_cfg) -> int:
-    default_shards = int(os.environ.get("LIEWALK_WORKERS", "1"))
     cfg = _resolve(args, file_cfg, {
         "alpha": None, "beta": None, "center": None, "radius": None,
         "ns": None, "samples": None, "tilt": "none", "seed": 0,
-        "shards": default_shards,
+        "shards": 1,
     })
     model = example_model(float(cfg["alpha"]), float(cfg["beta"]))
     dist = model.distribution()

@@ -2,9 +2,12 @@
 
 For a finitely supported law the log-MGF is everywhere finite and the
 conjugate sup_lambda <lambda, x> - Lambda(lambda) is finite exactly on the
-convex hull of the support.  Its values come from one damped Newton
-iteration on the concave dual objective restricted to the affine hull of
-the support (the objective is unbounded in directions the support cannot
+convex hull of the support.  SupportGeometry is the one chart of the
+support's affine hull: it projects stacks of points into frame
+coordinates, embeds coordinates back and holds the hull's facets, for
+legendre(), the path quadrature and the discretized solver alike.  The
+values come from one damped Newton iteration on the concave dual objective
+in that chart (the objective is unbounded in directions the support cannot
 see), which works on stacks of points; _dual_newton is one row of it.
 legendre() classifies its point by linear programming (inside / boundary
 / outside, tolerance 1e-9) and computes boundary values on the minimal
@@ -15,10 +18,12 @@ points Newton does not settle as inside: off the hull, with a diverging
 dual, or near a face.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import spatial
 from scipy.optimize import linprog
 
 from .distributions import IncrementDistribution
@@ -41,7 +46,14 @@ def log_mgf(dist: IncrementDistribution, lam: AlgebraVector) -> float:
 
 @dataclass(frozen=True)
 class SupportGeometry:
-    """Affine-hull frame of the support: x = xbar + sum_j t_j U_j."""
+    """The chart of the support's affine hull: x = xbar + sum_j t_j U_j.
+
+    Every evaluator of the conjugate works in this chart, through four
+    operations on one (d, d) matrix or a (..., d, d) stack: to_coords
+    projects into it, span and points embed coordinates back, and facets
+    bounds the hull.  Rank 0 (a point mass) needs no branch: its frame and
+    coordinates are empty.
+    """
 
     xbar: np.ndarray          # (d, d) weighted mean of the atoms
     frame: np.ndarray         # (r, d, d) orthonormal directions spanning the hull
@@ -53,17 +65,43 @@ class SupportGeometry:
         return self.frame.shape[0]
 
     def to_coords(self, x: np.ndarray):
-        """Frame coordinates of x - xbar and the off-hull residual norm."""
-        diff = (x - self.xbar).ravel()
-        if self.rank == 0:
-            return np.zeros(0), float(np.linalg.norm(diff))
-        flat = self.frame.reshape(self.rank, -1)
+        """(t, residual) of a (..., d, d) array: the (..., r) frame coordinates
+        of x - xbar, and the Frobenius norm of what the frame leaves of it."""
+        lead, (r, d, _) = x.shape[:-2], self.frame.shape
+        diff = (x - self.xbar).reshape(*lead, d * d, 1)
+        flat = self.frame.reshape(r, d * d)
         t = flat @ diff
-        residual = float(np.linalg.norm(diff - flat.T @ t))
-        return t, residual
+        return t[..., 0], _frobenius_norms(np.swapaxes(diff - flat.T @ t, -1, -2))
 
-    def from_lambda_coords(self, c: np.ndarray) -> np.ndarray:
-        return np.tensordot(c, self.frame, axes=1)
+    def span(self, c: np.ndarray) -> np.ndarray:
+        """sum_j c_j U_j for every coordinate row of a (..., r) array: the
+        product np.tensordot(c, frame, axes=1) takes, without its per-call
+        axis bookkeeping."""
+        lead, (r, d, _) = c.shape[:-1], self.frame.shape
+        flat = np.dot(c.reshape(math.prod(lead), r), self.frame.reshape(r, d * d))
+        return flat.reshape(*lead, d, d)
+
+    def points(self, c: np.ndarray) -> np.ndarray:
+        """xbar + span(c): the hull points at coordinates c."""
+        return self.xbar + self.span(c)
+
+    @cached_property
+    def facets(self):
+        """(normals, offsets) of the hull in frame coordinates: t lies in the
+        hull where normals @ t + offsets <= 0.  Below rank 2 the hull is an
+        interval or a point, which qhull does not take: its facets are a box."""
+        if self.rank < 2:
+            a, eye = self.atom_coords, np.eye(self.rank)
+            return np.vstack([eye, -eye]), np.concatenate([-a.max(axis=0), a.min(axis=0)])
+        facets = spatial.ConvexHull(self.atom_coords).equations
+        return facets[:, :-1], facets[:, -1]
+
+
+def _span_basis(centered: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of centered: its right singular
+    vectors whose singular values exceed 1e-12 max(1, s_0)."""
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return vt[s > 1e-12 * max(1.0, s[0] if s.size else 0.0)]
 
 
 @lru_cache(maxsize=128)
@@ -72,12 +110,9 @@ def _support_geometry(dist: IncrementDistribution) -> SupportGeometry:
     w = np.array(dist.weights)
     xbar = np.tensordot(w, stack, axes=1)
     centered = (stack - xbar).reshape(len(w), -1)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    keep = s > 1e-12 * max(1.0, s[0] if s.size else 0.0)
-    frame = vt[keep].reshape(-1, dist.dim, dist.dim)
-    coords_ = centered @ vt[keep].T + 0.0
-    return SupportGeometry(xbar=xbar, frame=frame, atom_coords=coords_,
-                           log_weights=np.log(w))
+    basis = _span_basis(centered)
+    return SupportGeometry(xbar=xbar, frame=basis.reshape(-1, dist.dim, dist.dim),
+                           atom_coords=centered @ basis.T + 0.0, log_weights=np.log(w))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +167,7 @@ def domain_check(dist: IncrementDistribution, x: AlgebraVector,
     if residual > tol:
         return "outside"
     if geom.rank == 0:
-        return "inside" if np.linalg.norm(t) <= tol else "outside"
+        return "inside"
     if _lp_feasibility_slack(geom, t) > tol:
         return "outside"
     return "inside" if _lp_min_weight(geom, t, tol) > tol else "boundary"
@@ -293,7 +328,7 @@ def legendre(dist: IncrementDistribution, x: AlgebraVector) -> LegendreResult:
             raise NonConvergenceError(
                 f"dual optimizer stalled: grad_norm={gn:.3e} after {it} iterations, "
                 f"|lambda|={np.linalg.norm(c):.3e}")
-        lam = AlgebraVector(geom.from_lambda_coords(c))
+        lam = AlgebraVector(geom.span(c))
         return LegendreResult(val, lam, gn, it, "inside")
     face = minimal_face(dist, x)
     if len(face) == 0:
@@ -303,15 +338,13 @@ def legendre(dist: IncrementDistribution, x: AlgebraVector) -> LegendreResult:
                               "boundary", face=face)
     sub = geom.atom_coords[list(face)]
     center = sub.mean(axis=0)
-    u, s, vt = np.linalg.svd(sub - center, full_matrices=False)
-    keep = s > 1e-12 * max(1.0, s[0])
-    proj = vt[keep]                    # face frame inside the hull frame
+    proj = _span_basis(sub - center)   # face frame inside the hull frame
     sub_coords = (sub - center) @ proj.T
     t_face = proj @ (t - center)
     val, c, gn, it, ok = _dual_newton(sub_coords, geom.log_weights[list(face)], t_face)
     if not ok:
         raise NonConvergenceError("face-restricted dual optimizer stalled")
-    lam = AlgebraVector(geom.from_lambda_coords(proj.T @ c))
+    lam = AlgebraVector(geom.span(proj.T @ c))
     return LegendreResult(val, lam, gn, it, "boundary", face=face)
 
 
@@ -341,36 +374,19 @@ def legendre_closed_form_s2(x1: float, x2: float, alpha: float, beta: float) -> 
 # ---------------------------------------------------------------------------
 # lean interior evaluator for optimization loops (no LP; Newton only)
 
-def lstar_interior(geom: SupportGeometry, x_mat: np.ndarray,
-                   start: np.ndarray | None = None):
-    """(value, lambda-coords) of the conjugate, +inf when Newton detects escape.
-
-    Used inside descent loops where iterates stay in the relative interior;
-    off-hull points and diverging duals report +inf instead of classifying
-    via linear programs.  One row of lstar_interior_stack.
-    """
-    starts = np.zeros((1, geom.rank)) if start is None else start[None]
-    vals, lams = lstar_interior_stack(geom, x_mat[None], starts)
-    if not np.isfinite(vals[0]):
-        return np.inf, None
-    return float(vals[0]), (lams[0] if geom.rank else None)
-
-
 def lstar_interior_stack(geom: SupportGeometry, x_mats: np.ndarray,
                          starts: np.ndarray):
-    """lstar_interior on a (n, d, d) stack, row i warm-started at starts[i].
+    """(value, lambda-coords) of the conjugate on a (n, d, d) stack by Newton
+    alone, row i warm-started at starts[i], for descent loops whose iterates
+    stay in the relative interior.
 
     Rows off the hull by more than DOMAIN_TOL, or whose dual diverges or
     stalls within 80 Newton steps, are +inf.  Returns (values,
     lambda-coords) with shapes (n,) and (n, r); the lambda-coords of a row
     whose value is +inf are meaningless.
     """
-    n, d, _ = x_mats.shape
-    r = geom.rank
-    diff = (x_mats - geom.xbar).reshape(n, d * d, 1)
-    flat = geom.frame.reshape(r, d * d)
-    t = (flat @ diff)[..., 0]
-    residual = _frobenius_norms((diff - flat.T @ t[..., None])[:, None, :, 0])
+    t, residual = geom.to_coords(x_mats)
+    n, r = t.shape
     vals = np.full(n, np.inf)
     lams = np.zeros((n, r))
     on = np.flatnonzero(residual <= DOMAIN_TOL)

@@ -9,9 +9,10 @@ programming (scipy's SLSQP; Kraft, DFVLR 1988) with exact derivatives: the
 objective's gradient is the Legendre maximizer (the envelope theorem), and
 the constraint's Jacobian comes from prefix and suffix products around the
 Frechet derivative of each segment's exponential (Higham, Functions of
-Matrices, 10.6).  Segments are parameterized in the affine hull of the
-support, where the conjugate has a relative interior, and kept inside the
-hull's facets.
+Matrices, 10.6).  Segments are parameterized in the support's hull chart
+(legendre.SupportGeometry), where the conjugate has a relative interior:
+the chart projects the seed and start segments, embeds the iterates and
+supplies the hull's facets, which bound every segment.
 
 The two-state closed forms (the constant-split path for equal rates, the
 published final rate expression) are provided for side-by-side reporting.
@@ -30,13 +31,12 @@ settle whether the paper calls the constant split optimal, nor why its
 displayed closed form goes negative.
 """
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, spatial
+from scipy import optimize
 
 from ._kernels import partial_products
 from .distributions import IncrementDistribution
@@ -47,7 +47,6 @@ from .legendre import (
     _settled_inside,
     _support_geometry,
     legendre,
-    lstar_interior,
     lstar_interior_stack,
 )
 from .lie import (
@@ -290,17 +289,6 @@ class DiscretizedRate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _hull_points(geom: SupportGeometry, coords: np.ndarray) -> np.ndarray:
-    """xbar + sum_j t_j U_j for every coordinate row of a (..., r) array.
-
-    The same product as np.tensordot(coords, geom.frame, axes=1), without
-    its per-call axis bookkeeping.
-    """
-    lead, (r, d, _) = coords.shape[:-1], geom.frame.shape
-    flat = np.dot(coords.reshape(math.prod(lead), r), geom.frame.reshape(r, d * d))
-    return geom.xbar + flat.reshape(*lead, d, d)
-
-
 def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
     """|log(prod^-1 g)|_F^2, +inf where prod^-1 g has no principal log."""
     try:
@@ -325,34 +313,21 @@ def _off_determinant_line(geom: SupportGeometry, g: np.ndarray) -> bool:
                 or abs(logdet - np.trace(geom.xbar)) > np.sqrt(g.shape[0]) * DOMAIN_TOL)
 
 
-def _initial_coords(dist, geom: SupportGeometry, g: GroupElement, m: int):
-    candidates = []
+def _initial_coords(geom: SupportGeometry, g: GroupElement, m: int) -> np.ndarray:
+    """m copies of the first start with a finite conjugate among log g, its
+    blends 0.9, 0.75, 0.5 and 0.25 toward xbar, and xbar; of xbar's
+    coordinates when none has one."""
+    candidates = [geom.xbar[None]]
     try:
-        lg = log_matrix(g).entries
-        for tau in (1.0, 0.9, 0.75, 0.5, 0.25):
-            candidates.append(tau * lg + (1.0 - tau) * geom.xbar)
+        tau = np.array([1.0, 0.9, 0.75, 0.5, 0.25])[:, None, None]
+        candidates.insert(0, tau * log_matrix(g).entries + (1.0 - tau) * geom.xbar)
     except OutOfDomainError:
         pass
-    candidates.append(geom.xbar.copy())
-    for cand in candidates:
-        t, residual = geom.to_coords(cand)
-        if residual > 1e-7:
-            continue
-        val, _ = lstar_interior(geom, cand)
-        if np.isfinite(val):
-            return np.tile(t, (m, 1))
-    return np.tile(geom.to_coords(geom.xbar)[0], (m, 1))
-
-
-def _hull_facets(geom: SupportGeometry):
-    """(normals, offsets) of the support hull in frame coordinates: t lies in
-    the hull where normals @ t + offsets <= 0.  Below rank 2 the hull is an
-    interval or a point, which qhull does not take: its facets are a box."""
-    if geom.rank < 2:
-        a, eye = geom.atom_coords, np.eye(geom.rank)
-        return np.vstack([eye, -eye]), np.concatenate([-a.max(axis=0), a.min(axis=0)])
-    facets = spatial.ConvexHull(geom.atom_coords).equations
-    return facets[:, :-1], facets[:, -1]
+    candidates = np.concatenate(candidates)
+    t, _ = geom.to_coords(candidates)
+    vals, _ = lstar_interior_stack(geom, candidates, np.zeros_like(t))
+    finite = np.flatnonzero(np.isfinite(vals))
+    return np.tile(t[finite[0] if finite.size else -1], (m, 1))
 
 
 def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
@@ -386,16 +361,12 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
     g_mat = g.entries
 
     if seed_segments is not None:
-        seed_segments = list(seed_segments)
-        if len(seed_segments) != m:
+        seeds = np.array([x.entries for x in seed_segments])
+        if len(seeds) != m:
             raise InvalidArgumentError("seed path must have exactly m segments")
-        rows = []
-        for x in seed_segments:
-            t, residual = geom.to_coords(m * x.entries)
-            if residual > 1e-7:
-                raise InvalidArgumentError("seed segment leaves the support's affine hull")
-            rows.append(t)
-        start = np.array(rows).reshape(m, r)
+        start, residual = geom.to_coords(m * seeds)
+        if (residual > 1e-7).any():
+            raise InvalidArgumentError("seed segment leaves the support's affine hull")
 
     diag = {"iterations": 0}
     if _off_determinant_line(geom, g_mat):
@@ -403,15 +374,15 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
         return DiscretizedRate(m=m, value=float("inf"), segments=None,
                                constraint_residual=float("inf"), diagnostics=diag)
     if seed_segments is None:
-        start = _initial_coords(dist, geom, g, m)
+        start = _initial_coords(geom, g, m)
 
     off = ~np.eye(d, dtype=bool)
     warm = np.zeros((m, r))
-    normals, offsets = _hull_facets(geom)
+    normals, offsets = geom.facets
 
     def segments(flat):
         """Hull points, exponentials and prefix products of the m x r coordinates."""
-        points = _hull_points(geom, flat.reshape(m, r))
+        points = geom.points(flat.reshape(m, r))
         exps = _expm(points / m)
         return points, exps, partial_products(exps)
 
@@ -419,7 +390,7 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
         coords = flat.reshape(m, r)
         if (coords @ normals.T + offsets > 0).any():   # off the hull, where the dual diverges
             return np.inf, np.zeros_like(flat)
-        vals, lams = lstar_interior_stack(geom, _hull_points(geom, coords), warm)
+        vals, lams = lstar_interior_stack(geom, geom.points(coords), warm)
         if not np.isfinite(vals).all():
             return np.inf, np.zeros_like(flat)
         warm[:] = lams

@@ -138,6 +138,17 @@ def test_mc_estimate_cli(tmp_path, center_file):
     assert payload["results"]["metadata"]["disclaimer"]
 
 
+def test_mc_estimate_shards_ignore_environment(tmp_path, center_file, monkeypatch):
+    # the shard count picks the random streams, so only the flag or config sets it
+    monkeypatch.setenv("LIEWALK_WORKERS", "3")
+    code = main(["mc-estimate", "--alpha", "1", "--beta", "1",
+                 "--center", center_file, "--radius", "0.1",
+                 "--ns", "10", "--samples", "200", "--seed", "5",
+                 "--out-json", str(tmp_path / "mc.json")])
+    assert code == 0
+    assert load(tmp_path / "mc.json")["config"]["shards"] == 1
+
+
 def test_verify_bounds_cli(tmp_path):
     out = tmp_path / "vb.json"
     code = main(["verify-bounds", "--dim", "2", "--radius", "0.2",

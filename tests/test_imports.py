@@ -1,9 +1,13 @@
-"""Every module-level import in liewalk is read somewhere in its module.
+"""Every module-level import in liewalk is read somewhere in its module, and
+every private function and constant somewhere in the package.
 
 The package ships with no linter, so this test parses each module under
 src/liewalk with ast and fails on a module-level import whose bound name the
 module never reads.  __init__.py imports to re-export, and a name listed in
-a module's __all__ is exported, so both are exempt.
+a module's __all__ is exported, so both are exempt.  It also fails on a
+module-level _private function or ALL-CAPS constant that no other
+statement of the package reads, as a loaded name, an attribute or an import:
+dead code, such as a helper whose last caller has gone.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liewalk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +48,50 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_code(sources: dict[str, str]) -> list[str]:
+    """'module: name (line n)' for each module-level _private function and
+    ALL-CAPS constant that no other top-level statement of any module reads."""
+    defined, reads = {}, {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            where = (module, stmt.lineno)
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                    and not stmt.name.endswith("__"):
+                defined[stmt.name, where] = f"{module}: {stmt.name} (line {stmt.lineno})"
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    defined[target.id, where] = f"{module}: {target.id} (line {stmt.lineno})"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                reads.setdefault(name, set()).add(where)
+    return [label for (name, where), label in defined.items()
+            if not reads.get(name, set()) - {where}]
+
+
+def test_checker_finds_dead_private_code():
+    sources = {
+        "a.py": ("LIMIT = 3\nUNUSED = 4\n\n"
+                 "def _helper(x):\n    return _helper(x - 1) if x else LIMIT\n\n"
+                 "def _used():\n    return 1\n\n"
+                 "def _by_attribute():\n    return 2\n\n"
+                 "def public():\n    return _used()\n"),
+        "b.py": "from .a import _by_attribute\nimport a\nTOTAL = a._by_attribute() + 1\n",
+    }
+    assert dead_private_code(sources) == ["a.py: UNUSED (line 2)",
+                                          "a.py: _helper (line 4)",
+                                          "b.py: TOTAL (line 3)"]
+
+
+def test_private_code_is_read():
+    assert dead_private_code(PACKAGE) == []

@@ -202,6 +202,17 @@ def test_indexed_products_rejects_bad_indices(d, bad):
         indexed_products(steps, bad, np.eye(d))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_indexed_products_of_zero_steps_is_left(rng, d):
+    # the empty product: each of the 3 samples ends at left
+    steps = np.broadcast_to(np.eye(d), (3, d, d))
+    left = _expm(rng.uniform(-0.2, 0.2, size=(d, d)) - 0.1 * d * np.eye(d))
+    left /= left.sum(axis=1, keepdims=True)
+    got = indexed_products(steps, np.zeros((3, 0), np.uint8), left)
+    assert got.shape == (3, d, d)
+    assert np.array_equal(got, np.broadcast_to(left, (3, d, d)))
+
+
 def test_stoch2_log_norms_vs_general_log(rng):
     mats = []
     for _ in range(100):

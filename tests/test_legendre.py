@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.optimize import minimize
 
 from liewalk import (
     AlgebraVector,
+    GroupElement,
     IncrementDistribution,
     domain_check,
     legendre,
     legendre_closed_form_s2,
     log_mgf,
     minimal_face,
+    refinement_ladder,
 )
 from liewalk.bch import sample_ball
 from liewalk.legendre import _dual_newton, _dual_newton_stack, _support_geometry
+from liewalk.lie import _expm
 from legendre_reference import dual_newton as reference_dual_newton, reference_legendre
 
 
@@ -375,3 +379,54 @@ def test_dual_newton_is_one_row_of_the_stack(dist):
     assert (type(val), type(gn), type(it), type(ok)) == (float, float, int, bool)
     assert (val, gn, it, ok) == (vals[0], gns[0], its[0], oks[0]) and ok
     assert c.tobytes() == cs[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the hull chart at rank 0 (a point mass), 1 (the two-state law) and 2 (three 3x3 atoms)
+
+def chart_laws(dist):
+    point_mass = IncrementDistribution(atoms=triangle_dist().atoms[:1], weights=(1.0,))
+    return {"rank0": point_mass, "rank1": dist, "rank2": triangle_dist()}
+
+
+@pytest.mark.parametrize("rank", ["rank0", "rank1", "rank2"])
+def test_stacked_to_coords_rows_are_one_matrix_calls(dist, rng, rank):
+    law = chart_laws(dist)[rank]
+    geom = _support_geometry(law)
+    d = law.dim
+    # hull points and arbitrary matrices off the hull, in a (2, 3, d, d) stack
+    stack = np.concatenate([geom.points(rng.standard_normal((3, geom.rank))),
+                            rng.standard_normal((3, d, d))]).reshape(2, 3, d, d)
+    t, residual = geom.to_coords(stack)
+    assert t.shape == (2, 3, geom.rank) and residual.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        t_one, residual_one = geom.to_coords(stack[i])
+        assert t_one.shape == (geom.rank,)
+        assert t_one.tobytes() == t[i].tobytes()
+        assert np.float64(residual_one).tobytes() == residual[i].tobytes()
+
+
+@pytest.mark.parametrize("rank", ["rank0", "rank1", "rank2"])
+def test_points_round_trip_through_to_coords(dist, rng, rank):
+    geom = _support_geometry(chart_laws(dist)[rank])
+    coords = 3.0 * rng.standard_normal((50, geom.rank))
+    t, residual = geom.to_coords(geom.points(coords))
+    assert np.abs(t - coords).max(initial=0.0) <= 1e-14
+    assert residual.max() <= 1e-14
+
+
+def test_ladder_builds_the_hull_once(monkeypatch):
+    law = triangle_dist()
+    _support_geometry.cache_clear()
+    built = []
+    hull = scipy.spatial.ConvexHull
+
+    def counting_hull(points):
+        built.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting_hull)
+    mix = np.tensordot([0.5, 0.2, 0.3], law.atom_stack(), axes=1)
+    ladder = refinement_ladder(law, GroupElement(_expm(mix)), [2, 4, 8])
+    assert all(np.isfinite(ladder[m].value) for m in (2, 4, 8))
+    assert built == [3]
