@@ -18,6 +18,7 @@ from .bch import (
     f_operator,
     g_operator,
     run_log_product_suite,
+    sample_ball,
     validate_bch_radius,
     verify_lipschitz,
     verify_log_product,

@@ -1,21 +1,22 @@
-"""Experiment runner: one reproducible configuration format, six subcommands.
+"""Experiment runner: one table declares the six subcommands, one path writes their output.
 
-    simulate         walk simulation + replacement certificate
-    legendre         conjugate values at points or along the model grid
-    rate             discretized/quadrature/closed-form rate report
-    mc-estimate      empirical rate curve with optional tilting
-    verify-bounds    deviation-bound certificate suite
-    exp-log-selftest validation of the exp/log neighborhood constants
+COMMANDS maps each subcommand to its function, its help text and its config
+keys, as key: (flag type, default[, flag help]); a default of None marks a
+required key.  build_parser() adds the common --config, --out-json,
+--out-csv, --strict and --seed flags and one flag per key.  main() resolves
+the config (flag, else --config file, else the table's default), calls the
+command for (results, table, passed), then writes the JSON report with the
+config embedded, the CSV when --out-csv is given and the command has a
+table, and the JSON text on stdout when there is no --out-json.  DESCRIPTION
+is the --help text; it states the file formats.
 
-Configuration is a flat key = value file (JSON for matrices); command-line
-flags override file values, and every output embeds the fully resolved
-configuration.  Outputs are written atomically (temp file + rename).  The
-timestamp lives in a separate "meta" key so payloads are byte-identical
-across reruns with the same config and seed.  Exit codes: 0 success,
-1 usage error, 2 certificate failure under --strict, 3 numeric failure.
+Exit codes: 0 success; 1 usage error, including an input file that cannot
+be read or decoded and an output path that cannot be written; 2 certificate
+failure under --strict; 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -41,6 +42,23 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
 EXIT_NUMERIC = 3
 
+DESCRIPTION = """Experiment runner: one reproducible configuration format, six subcommands.
+
+    simulate         walk simulation + replacement certificate
+    legendre         conjugate values at points or along the model grid
+    rate             discretized/quadrature/closed-form rate report
+    mc-estimate      empirical rate curve with optional tilting
+    verify-bounds    deviation-bound certificate suite
+    exp-log-selftest validation of the exp/log neighborhood constants
+
+Configuration is a flat key = value file (JSON for matrices); command-line
+flags override file values, and every output embeds the fully resolved
+configuration.  Outputs are written atomically (temp file + rename).  The
+timestamp lives in a separate "meta" key so payloads are byte-identical
+across reruns with the same config and seed.  Exit codes: 0 success,
+1 usage error, 2 certificate failure under --strict, 3 numeric failure.
+"""
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -64,16 +82,29 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".liewalk-")
+    """Write through a temp file and a rename; an unwritable path is a usage error."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".liewalk-")
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _read(load, path):
+    """load(path), with a file that cannot be opened or decoded as a usage error."""
+    try:
+        return load(str(path))
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot parse {path}: {exc}") from None
 
 
 def _np_default(o):
@@ -124,16 +155,11 @@ def parse_config_file(path: str) -> dict:
 
 
 def _resolve(args, file_cfg: dict, keys: dict) -> dict:
-    """Merge config file values with CLI flags (flags win); fill defaults."""
+    """Merge config file values with CLI flags (flags win); fill the table's defaults."""
     resolved = {}
-    for key, default in keys.items():
+    for key, (_, default, *_) in keys.items():
         flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+        resolved[key] = flag if flag is not None else file_cfg.get(key, default)
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
         raise UsageError(f"missing required configuration keys: {', '.join(missing)}")
@@ -157,44 +183,29 @@ def _inputs_digest(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved config and returns (results, table,
+# passed), where table is None or a function returning (header, rows)
 
-def _cmd_simulate(args, file_cfg) -> int:
-    cfg = _resolve(args, file_cfg, {
-        "alpha": None, "beta": None, "n": None, "m": None, "seed": 0,
-    })
-    model = example_model(float(cfg["alpha"]), float(cfg["beta"]))
-    dist = model.distribution()
+def _cmd_simulate(cfg):
+    dist = example_model(float(cfg["alpha"]), float(cfg["beta"])).distribution()
     traj = simulate_walk(dist, int(cfg["n"]), int(cfg["seed"]))
     cert = replacement_deviation(traj, int(cfg["m"]))
     seg = segment_decomposition(traj, int(cfg["m"]))
     results = {
         "endpoint": matrix_to_jsonable(traj.endpoint.entries),
-        "deviation_certificate": {
-            "m": cert.m, "checked_steps": cert.checked_steps,
-            "max_deviation": cert.max_deviation, "argmax_k": cert.argmax_k,
-            "bound": cert.bound, "kappa": cert.kappa,
-            "support_bound": cert.support_bound, "passed": cert.passed,
-        },
+        "deviation_certificate": dataclasses.asdict(cert),
         "segment_log_norms": [x.norm for x in seg.segment_logs],
     }
-    text = write_json(args.out_json, {"subcommand": "simulate", **cfg}, results)
-    if args.out_csv:
+
+    def table():
         proxy = _frobenius_norms(traj.step_logs())
         inc = _frobenius_norms(dist.atom_stack())[traj.atom_indices] / traj.n
-        rows = list(zip(range(1, traj.n + 1), proxy.tolist(), inc.tolist()))
-        write_csv(args.out_csv, ["k", "proxy_distance", "increment_norm_over_n"], rows)
-    if not args.out_json:
-        sys.stdout.write(text)
-    if args.strict and not cert.passed:
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+        return (["k", "proxy_distance", "increment_norm_over_n"],
+                zip(range(1, traj.n + 1), proxy.tolist(), inc.tolist()))
+    return results, table, cert.passed
 
 
-def _cmd_legendre(args, file_cfg) -> int:
-    cfg = _resolve(args, file_cfg, {
-        "alpha": None, "beta": None, "x1": "", "x2": "", "x": "", "grid": "",
-    })
+def _cmd_legendre(cfg):
     model = example_model(float(cfg["alpha"]), float(cfg["beta"]))
     dist = model.distribution()
     points = []
@@ -205,7 +216,7 @@ def _cmd_legendre(args, file_cfg) -> int:
             x2 = beta * (1.0 - x1 / alpha)
             points.append(AlgebraVector([[-x1, x1], [x2, -x2]]))
     elif cfg["x"]:
-        points.append(load_algebra_matrix(str(cfg["x"])))
+        points.append(_read(load_algebra_matrix, cfg["x"]))
     elif cfg["x1"] != "" and cfg["x2"] != "":
         x1, x2 = float(cfg["x1"]), float(cfg["x2"])
         points.append(AlgebraVector([[-x1, x1], [x2, -x2]]))
@@ -227,118 +238,57 @@ def _cmd_legendre(args, file_cfg) -> int:
             "closed_form": closed,
             "maximizer": None if res.maximizer is None else matrix_to_jsonable(lam),
         })
-    if args.out_csv:
-        write_csv(args.out_csv,
-                  ["x1", "x2", "value", "finite", "lambda1", "lambda2",
-                   "grad_norm", "closed_form"], rows)
-    text = write_json(args.out_json, {"subcommand": "legendre", **cfg},
-                      {"points": results})
-    if not args.out_json:
-        sys.stdout.write(text)
-    return EXIT_OK
+    header = ["x1", "x2", "value", "finite", "lambda1", "lambda2", "grad_norm", "closed_form"]
+    return {"points": results}, lambda: (header, rows), True
 
 
-def _cmd_rate(args, file_cfg) -> int:
-    cfg = _resolve(args, file_cfg, {
-        "alpha": None, "endpoint": None, "m": "8,16,32", "seed": 0,
-    })
+def _cmd_rate(cfg):
     alpha = float(cfg["alpha"])
-    model = example_model(alpha, alpha)
-    dist = model.distribution()
-    g = load_group_matrix(str(cfg["endpoint"]))
-    ms = _int_list(cfg["m"])
-    report = rate_report(dist, g, ms, alpha=alpha)
-    results = report.to_jsonable()
-    text = write_json(args.out_json, {"subcommand": "rate", **cfg}, results)
-    if args.out_csv:
-        rows = [(m, report.discretized[m], report.constraint_residuals[m])
-                for m in report.m_values]
-        write_csv(args.out_csv, ["m", "value", "constraint_residual"], rows)
-    if not args.out_json:
-        sys.stdout.write(text)
-    return EXIT_OK
+    dist = example_model(alpha, alpha).distribution()
+    g = _read(load_group_matrix, cfg["endpoint"])
+    report = rate_report(dist, g, _int_list(cfg["m"]), alpha=alpha)
+    rows = [(m, report.discretized[m], report.constraint_residuals[m]) for m in report.m_values]
+    return report.to_jsonable(), lambda: (["m", "value", "constraint_residual"], rows), True
 
 
-def _cmd_mc(args, file_cfg) -> int:
-    cfg = _resolve(args, file_cfg, {
-        "alpha": None, "beta": None, "center": None, "radius": None,
-        "ns": None, "samples": None, "tilt": "none", "seed": 0,
-        "shards": 1,
-    })
-    model = example_model(float(cfg["alpha"]), float(cfg["beta"]))
-    dist = model.distribution()
-    event = BallEvent(load_group_matrix(str(cfg["center"])), float(cfg["radius"]))
+def _cmd_mc(cfg):
+    dist = example_model(float(cfg["alpha"]), float(cfg["beta"])).distribution()
+    event = BallEvent(_read(load_group_matrix, cfg["center"]), float(cfg["radius"]))
     tilt = cfg["tilt"]
     if tilt not in ("none", "auto"):
-        tilt = load_algebra_matrix(str(tilt))
+        tilt = _read(load_algebra_matrix, tilt)
     curve = empirical_rate_curve(dist, event, _int_list(cfg["ns"]),
                                  int(cfg["samples"]), int(cfg["seed"]),
                                  tilt_policy=tilt, shards=int(cfg["shards"]))
+    header = ["n", "samples", "weighted_hits", "p", "p_lo", "p_hi",
+              "rate", "rate_lo", "rate_hi", "ess", "degenerate"]
     rows = [(r.n, r.samples, r.weighted_hits, r.p, r.p_lo, r.p_hi,
              r.rate, r.rate_lo, r.rate_hi, r.ess, int(r.degenerate))
             for r in curve.rows]
-    if args.out_csv:
-        write_csv(args.out_csv,
-                  ["n", "samples", "weighted_hits", "p", "p_lo", "p_hi",
-                   "rate", "rate_lo", "rate_hi", "ess", "degenerate"], rows)
-    results = {
-        "rows": [dict(zip(("n", "samples", "weighted_hits", "p", "p_lo", "p_hi",
-                           "rate", "rate_lo", "rate_hi", "ess", "degenerate"), row))
-                 for row in rows],
-        "metadata": curve.metadata,
-    }
-    text = write_json(args.out_json,
-                      {"subcommand": "mc-estimate",
-                       **{k: (v if not isinstance(v, AlgebraVector) else "matrix")
-                          for k, v in cfg.items()}},
-                      results)
-    if not args.out_json:
-        sys.stdout.write(text)
-    return EXIT_OK
+    results = {"rows": [dict(zip(header, row)) for row in rows],
+               "metadata": curve.metadata}
+    return results, lambda: (header, rows), True
 
 
-def _cmd_verify_bounds(args, file_cfg) -> int:
-    cfg = _resolve(args, file_cfg, {
-        "dim": 2, "radius": 0.2, "pairs": 1000, "seed": 0,
-    })
-    rows = []
-    failures = 0
-    worst_ratio = 0.0
-    for row in run_log_product_suite(int(cfg["dim"]), float(cfg["radius"]),
-                                     int(cfg["pairs"]), int(cfg["seed"])):
-        rows.append(row)
-        if not row[-1]:
-            failures += 1
-        if row[5] > 0:
-            worst_ratio = max(worst_ratio, row[4] / row[5])
-    if args.out_csv:
-        write_csv(args.out_csv,
-                  ["seed", "norm_x", "norm_y", "ad_norm", "lhs", "rhs", "pass"],
-                  rows)
-    results = {"pairs": len(rows), "failures": failures,
-               "worst_ratio": worst_ratio}
-    text = write_json(args.out_json, {"subcommand": "verify-bounds", **cfg}, results)
-    if not args.out_json:
-        sys.stdout.write(text)
-    if args.strict and failures:
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+def _cmd_verify_bounds(cfg):
+    rows = list(run_log_product_suite(int(cfg["dim"]), float(cfg["radius"]),
+                                      int(cfg["pairs"]), int(cfg["seed"])))
+    failures = sum(not row[-1] for row in rows)
+    worst_ratio = max([0.0] + [row[4] / row[5] for row in rows if row[5] > 0])
+    results = {"pairs": len(rows), "failures": failures, "worst_ratio": worst_ratio}
+    header = ["seed", "norm_x", "norm_y", "ad_norm", "lhs", "rhs", "pass"]
+    return results, lambda: (header, rows), failures == 0
 
 
-def _cmd_selftest(args, file_cfg) -> int:
-    cfg = _resolve(args, file_cfg, {"dims": "2,3", "samples": 100, "seed": 0})
-    dims = _int_list(cfg["dims"])
+def _cmd_selftest(cfg):
     report = {}
-    all_ok = True
-    for d in dims:
+    for d in _int_list(cfg["dims"]):
         inj = validate_injectivity(d, n_samples=int(cfg["samples"]), seed=int(cfg["seed"]))
         rad = validate_bch_radius(d, n_samples=max(20, int(cfg["samples"]) // 5),
                                   seed=int(cfg["seed"]))
         model_kappa = None
         if d == 2:
             model_kappa = kappa_support(example_model(1.0, 1.0).distribution())
-        ok = inj.passed and rad.series_converges
-        all_ok = all_ok and ok
         report[str(d)] = {
             "injectivity": {
                 "eps": inj.eps, "radius": inj.radius,
@@ -352,81 +302,60 @@ def _cmd_selftest(args, file_cfg) -> int:
                 "within_proof_constant": rad.within_proof_constant,
             },
             "model_kappa": model_kappa,
-            "passed": ok,
+            "passed": inj.passed and rad.series_converges,
         }
-    text = write_json(args.out_json, {"subcommand": "exp-log-selftest", **cfg}, report)
-    if not args.out_json:
-        sys.stdout.write(text)
-    if args.strict and not all_ok:
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return report, None, all(entry["passed"] for entry in report.values())
 
 
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate a walk and check the replacement bound", {
+        "alpha": (float, None), "beta": (float, None), "n": (int, None),
+        "m": (int, None), "seed": (int, 0),
+    }),
+    "legendre": (_cmd_legendre, "conjugate values at points or on the model grid", {
+        "alpha": (float, None), "beta": (float, None), "x1": (float, ""),
+        "x2": (float, ""), "x": (str, "", "JSON matrix file"),
+        "grid": (int, "", "number of constraint-line points"),
+    }),
+    "rate": (_cmd_rate, "rate report for an endpoint (equal-parameter model)", {
+        "alpha": (float, None), "endpoint": (str, None, "JSON matrix file"),
+        "m": (str, "8,16,32", "comma-separated segment counts"), "seed": (int, 0),
+    }),
+    "mc-estimate": (_cmd_mc, "empirical rate curve", {
+        "alpha": (float, None), "beta": (float, None),
+        "center": (str, None, "JSON matrix file (ball center)"),
+        "radius": (float, None), "ns": (str, None, "comma-separated walk lengths"),
+        "samples": (int, None), "tilt": (str, "none", "none | auto | JSON matrix file"),
+        "seed": (int, 0), "shards": (int, 1),
+    }),
+    "verify-bounds": (_cmd_verify_bounds, "deviation-bound certificate suite", {
+        "dim": (int, 2), "radius": (float, 0.2), "pairs": (int, 1000), "seed": (int, 0),
+    }),
+    "exp-log-selftest": (_cmd_selftest, "validate exp/log neighborhood constants", {
+        "dims": (str, "2,3", "comma-separated dimensions"), "samples": (int, 100),
+        "seed": (int, 0),
+    }),
+}
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="liewalk", description=__doc__,
+    parser = _Parser(prog="liewalk", description=DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (_, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out-json", help="write the JSON report here")
         p.add_argument("--out-csv", help="write the CSV table here")
         p.add_argument("--strict", action="store_true",
                        help="exit 2 when a certificate fails")
+        # every subcommand takes --seed; legendre draws nothing and echoes none
         p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("simulate", help="simulate a walk and check the replacement bound")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("legendre", help="conjugate values at points or on the model grid")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--x1", type=float)
-    p.add_argument("--x2", type=float)
-    p.add_argument("--x", help="JSON matrix file")
-    p.add_argument("--grid", type=int, help="number of constraint-line points")
-    p.set_defaults(func=_cmd_legendre)
-
-    p = sub.add_parser("rate", help="rate report for an endpoint (equal-parameter model)")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--endpoint", help="JSON matrix file")
-    p.add_argument("--m", help="comma-separated segment counts")
-    p.set_defaults(func=_cmd_rate)
-
-    p = sub.add_parser("mc-estimate", help="empirical rate curve")
-    common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--center", help="JSON matrix file (ball center)")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--ns", help="comma-separated walk lengths")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tilt", help="none | auto | JSON matrix file")
-    p.add_argument("--shards", type=int)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("verify-bounds", help="deviation-bound certificate suite")
-    common(p)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--pairs", type=int)
-    p.set_defaults(func=_cmd_verify_bounds)
-
-    p = sub.add_parser("exp-log-selftest", help="validate exp/log neighborhood constants")
-    common(p)
-    p.add_argument("--dims", help="comma-separated dimensions")
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=_cmd_selftest)
-
+        for key, (kind, _, *doc) in keys.items():
+            if key != "seed":
+                p.add_argument(f"--{key}", type=kind, help=doc[0] if doc else None)
     return parser
 
 
@@ -434,8 +363,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        file_cfg = parse_config_file(args.config) if args.config else {}
-        return args.func(args, file_cfg)
+        func, _, keys = COMMANDS[args.subcommand]
+        file_cfg = _read(parse_config_file, args.config) if args.config else {}
+        cfg = _resolve(args, file_cfg, keys)
+        results, table, passed = func(cfg)
+        text = write_json(args.out_json, {"subcommand": args.subcommand, **cfg}, results)
+        if args.out_csv and table:
+            write_csv(args.out_csv, *table())
+        if not args.out_json:
+            sys.stdout.write(text)
+        return EXIT_CERTIFICATE if args.strict and not passed else EXIT_OK
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

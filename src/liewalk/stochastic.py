@@ -1,7 +1,8 @@
 """The unit-row-sum (stochastic) matrix group, its algebra and positive cone.
 
-Membership predicates with residual reports, the nonnegativity certificate
-for exponentials of positive-cone elements, and the built-in two-state
+The group membership predicate with its residual report (AlgebraVector
+checks algebra membership itself), the nonnegativity certificate for
+exponentials of positive-cone elements, and the built-in two-state
 reference model.  The model's closed forms (its one-step maps among them)
 live in the tests, as oracles for the general routines.
 """
@@ -26,15 +27,6 @@ def is_group_member(m, tol: float = MEMBERSHIP_TOL):
     det = float(np.linalg.det(a))
     ok = row_residual <= tol and abs(det) > SINGULARITY_TOL
     return ok, {"row_sum_residual": row_residual, "det": det}
-
-
-def is_algebra_member(m, tol: float = MEMBERSHIP_TOL):
-    """Check zero row sums; returns (ok, residual)."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    residual = float(np.abs(a.sum(axis=1)).max())
-    return residual <= tol, residual
 
 
 def is_positive_cone(x: AlgebraVector, tol: float = CONE_TOL) -> bool:

@@ -97,8 +97,7 @@ def simulate_walk(dist: IncrementDistribution, n: int, seed: int) -> WalkTraject
         raise InvalidArgumentError("n must be a positive integer")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = dist.sample_indices(rng, n)
-    step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
-    points = partial_products(step_mats[idx])
+    points = partial_products(_expm(dist.atom_stack() / n)[idx])
     points.flags.writeable = False
     idx.flags.writeable = False
     return WalkTrajectory(dist=dist, n=n, seed=seed, atom_indices=idx, points=points)

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from liewalk import example_model, simulate_walk
-from liewalk.cli import main, parse_config_file, write_csv
+from liewalk.cli import build_parser, main, parse_config_file, write_csv
 from liewalk.lie import _expm
 from logm_reference import logm as reference_logm
 
@@ -247,3 +248,66 @@ def test_bad_integer_list_is_usage_error(ms, endpoint_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["rate", "--alpha", "1", "--endpoint", "{missing}"], "{missing}"),
+    (["rate", "--alpha", "1", "--endpoint", "{notjson}"], "{notjson}"),
+    (["legendre", "--alpha", "1", "--beta", "1", "--x", "{missing}"], "{missing}"),
+    (["mc-estimate", "--alpha", "1", "--beta", "1", "--center", "{missing}",
+      "--radius", "0.1", "--ns", "10", "--samples", "10"], "{missing}"),
+    (["mc-estimate", "--alpha", "1", "--beta", "1", "--center", "{center}",
+      "--radius", "0.1", "--ns", "10", "--samples", "10", "--tilt", "{missing}"], "{missing}"),
+    (["simulate", "--config", "{missing}"], "{missing}"),
+    (["verify-bounds", "--pairs", "3", "--out-json", "{nodir}"], "{nodir}"),
+    (["verify-bounds", "--pairs", "3", "--out-csv", "{nodir}"], "{nodir}"),
+], ids=["endpoint", "not-json", "x", "center", "tilt", "config", "out-json", "out-csv"])
+def test_unreadable_or_unwritable_file_is_usage_error(argv, path, tmp_path, center_file, capsys):
+    notjson = tmp_path / "notjson.json"
+    notjson.write_text("[[1, 0], [0, 1")
+    names = {"missing": str(tmp_path / "missing.json"), "notjson": str(notjson),
+             "center": center_file, "nodir": str(tmp_path / "no-such-dir" / "out")}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and path.format(**names) in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["center.json", "notjson.json"]
+
+
+COMMON_OPTIONS = {"--config": str, "--out-json": str, "--out-csv": str, "--seed": int}
+
+
+@pytest.mark.parametrize("name, options, required, defaults", [
+    ("simulate", {"--alpha": float, "--beta": float, "--n": int, "--m": int},
+     ["--alpha", "1", "--beta", "1", "--n", "10", "--m", "2"], {"seed": 0}),
+    ("legendre", {"--alpha": float, "--beta": float, "--x1": float, "--x2": float,
+                  "--x": str, "--grid": int},
+     ["--alpha", "1", "--beta", "1", "--x1", "0.25", "--x2", "0.75", "--seed", "3"],
+     {"x": "", "grid": ""}),
+    ("rate", {"--alpha": float, "--endpoint": str, "--m": str},
+     ["--alpha", "1", "--endpoint", "{endpoint}"], {"m": "8,16,32", "seed": 0}),
+    ("mc-estimate", {"--alpha": float, "--beta": float, "--center": str, "--radius": float,
+                     "--ns": str, "--samples": int, "--tilt": str, "--shards": int},
+     ["--alpha", "1", "--beta", "1", "--center", "{center}", "--radius", "0.1",
+      "--ns", "10", "--samples", "100"], {"tilt": "none", "shards": 1, "seed": 0}),
+    ("verify-bounds", {"--dim": int, "--radius": float, "--pairs": int},
+     [], {"dim": 2, "radius": 0.2, "pairs": 1000, "seed": 0}),
+    ("exp-log-selftest", {"--dims": str, "--samples": int},
+     [], {"dims": "2,3", "samples": 100, "seed": 0}),
+])
+def test_each_subcommand_keeps_its_options_types_and_defaults(
+        name, options, required, defaults, endpoint_file, center_file, capsys):
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = set(sub.choices[name]._option_string_actions)
+    expected = {**COMMON_OPTIONS, **options}
+    assert accepted == {"-h", "--help", "--strict"} | set(expected)
+    for option, kind in expected.items():
+        value = getattr(parser.parse_args([name, option, "7"]), option[2:].replace("-", "_"))
+        assert type(value) is kind, option
+    argv = [arg.format(endpoint=endpoint_file, center=center_file) for arg in required]
+    assert main([name] + argv) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    given = {flag[2:] for flag in argv[::2]} - ({"seed"} if name == "legendre" else set())
+    assert set(config) == {"subcommand"} | given | set(defaults)
+    assert {key: config[key] for key in defaults} == defaults

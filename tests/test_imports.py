@@ -1,13 +1,14 @@
 """Every module-level import in liewalk is read somewhere in its module, and
-every private function and constant somewhere in the package.
+every module-level function and constant somewhere in the package.
 
 The package ships with no linter, so this test parses each module under
 src/liewalk with ast and fails on a module-level import whose bound name the
 module never reads.  __init__.py imports to re-export, and a name listed in
 a module's __all__ is exported, so both are exempt.  It also fails on a
-module-level _private function or ALL-CAPS constant that no other
-statement of the package reads, as a loaded name, an attribute or an import:
-dead code, such as a helper whose last caller has gone.
+module-level function, public or _private, or ALL-CAPS constant that no
+other statement of the package reads, as a loaded name, an attribute or an
+import: dead code, such as a helper whose last caller has gone.  A public
+function that __init__.py imports is exported and so counts as read.
 """
 
 import ast
@@ -50,15 +51,14 @@ def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def dead_private_code(sources: dict[str, str]) -> list[str]:
-    """'module: name (line n)' for each module-level _private function and
-    ALL-CAPS constant that no other top-level statement of any module reads."""
+def dead_code(sources: dict[str, str]) -> list[str]:
+    """'module: name (line n)' for each module-level function and ALL-CAPS
+    constant that no other top-level statement of any module reads."""
     defined, reads = {}, {}
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             where = (module, stmt.lineno)
-            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
-                    and not stmt.name.endswith("__"):
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.endswith("__"):
                 defined[stmt.name, where] = f"{module}: {stmt.name} (line {stmt.lineno})"
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
@@ -81,17 +81,20 @@ def dead_private_code(sources: dict[str, str]) -> list[str]:
 
 def test_checker_finds_dead_private_code():
     sources = {
+        "__init__.py": "from .a import public\n",
         "a.py": ("LIMIT = 3\nUNUSED = 4\n\n"
                  "def _helper(x):\n    return _helper(x - 1) if x else LIMIT\n\n"
                  "def _used():\n    return 1\n\n"
                  "def _by_attribute():\n    return 2\n\n"
-                 "def public():\n    return _used()\n"),
+                 "def public():\n    return _used()\n\n"
+                 "def orphan():\n    return public()\n"),
         "b.py": "from .a import _by_attribute\nimport a\nTOTAL = a._by_attribute() + 1\n",
     }
-    assert dead_private_code(sources) == ["a.py: UNUSED (line 2)",
-                                          "a.py: _helper (line 4)",
-                                          "b.py: TOTAL (line 3)"]
+    assert dead_code(sources) == ["a.py: UNUSED (line 2)",
+                                  "a.py: _helper (line 4)",
+                                  "a.py: orphan (line 16)",
+                                  "b.py: TOTAL (line 3)"]
 
 
 def test_private_code_is_read():
-    assert dead_private_code(PACKAGE) == []
+    assert dead_code(PACKAGE) == []

@@ -12,7 +12,6 @@ from liewalk import (
     is_positive_cone,
 )
 from liewalk.lie import algebra_dim
-from liewalk.stochastic import is_algebra_member
 
 
 def random_cone(rng, d, norm_cap):
@@ -46,13 +45,6 @@ def test_singular_matrix_rejected():
 def test_non_square_rejected():
     with pytest.raises(InvalidArgumentError):
         is_group_member(np.ones((2, 3)))
-
-
-def test_algebra_member_check():
-    ok, residual = is_algebra_member([[-1.0, 1.0], [2.0, -2.0]])
-    assert ok and residual == 0.0
-    ok, residual = is_algebra_member([[1.0, 1.0], [0.0, 0.0]])
-    assert not ok and residual == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0])
