@@ -3,12 +3,15 @@
 COMMANDS maps each subcommand to its function, its help text and its config
 keys, as key: (flag type, default[, flag help]); a default of None marks a
 required key.  build_parser() adds the common --config, --out-json,
---out-csv, --strict and --seed flags and one flag per key.  main() resolves
-the config (flag, else --config file, else the table's default), calls the
-command for (results, table, passed), then writes the JSON report with the
-config embedded, the CSV when --out-csv is given and the command has a
-table, and the JSON text on stdout when there is no --out-json.  DESCRIPTION
-is the --help text; it states the file formats.
+--out-csv, --strict and --seed flags and one flag per key; it builds the
+parser once per process and returns that same parser on every call, so
+repeated main() calls in one process do not rebuild the six subparsers.
+main() resolves the config (flag, else --config file value converted with
+the key's flag type, else the table's default), calls the command for
+(results, table, passed), then writes the JSON report with the config
+embedded, the CSV when --out-csv is given and the command has a table, and
+the JSON text on stdout when there is no --out-json.  DESCRIPTION is the
+--help text; it states the file formats.
 
 Exit codes: 0 success; 1 usage error, including an input file that cannot
 be read or decoded and an output path that cannot be written; 2 certificate
@@ -18,6 +21,7 @@ failure under --strict; 3 numeric failure.
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -154,12 +158,36 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def _file_value(key: str, kind: type, default, value):
+    """A --config file value with its flag's type: a string converted as the
+    flag converts it, a number taken by a float key, or by an int key when
+    integral, never a bool.  A str key keeps the value as read (_int_list also
+    reads a list), and "" stays "" where it is the table's unset default, so
+    a report's config reads back."""
+    if kind is str or value == default == "":
+        return value
+    try:
+        if isinstance(value, str):
+            return kind(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and (
+                kind is float or float(value).is_integer()):
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise UsageError(f"config key {key}: expected {kind.__name__}, got {value!r}")
+
+
 def _resolve(args, file_cfg: dict, keys: dict) -> dict:
     """Merge config file values with CLI flags (flags win); fill the table's defaults."""
     resolved = {}
-    for key, (_, default, *_) in keys.items():
+    for key, (kind, default, *_) in keys.items():
         flag = getattr(args, key.replace("-", "_"), None)
-        resolved[key] = flag if flag is not None else file_cfg.get(key, default)
+        if flag is not None:
+            resolved[key] = flag
+        elif key in file_cfg:
+            resolved[key] = _file_value(key, kind, default, file_cfg[key])
+        else:
+            resolved[key] = default
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
         raise UsageError(f"missing required configuration keys: {', '.join(missing)}")
@@ -209,8 +237,10 @@ def _cmd_legendre(cfg):
     model = example_model(float(cfg["alpha"]), float(cfg["beta"]))
     dist = model.distribution()
     points = []
-    if cfg["grid"]:
-        npts = int(cfg["grid"])
+    if cfg["grid"] != "":
+        npts = cfg["grid"]
+        if npts < 1:
+            raise UsageError(f"--grid must be at least 1, got {npts}")
         alpha, beta = model.alpha, model.beta
         for x1 in np.linspace(0.0, alpha, npts):
             x2 = beta * (1.0 - x1 / alpha)
@@ -340,6 +370,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="liewalk", description=DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

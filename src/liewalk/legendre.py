@@ -16,6 +16,10 @@ of the conjugate there.  The path quadrature runs Newton first, on all its
 nodes at once (lstar_interior_stack), and leaves to these LPs only the
 points Newton does not settle as inside: off the hull, with a diverging
 dual, or near a face.
+
+scipy is imported where it computes, so that importing liewalk loads none
+of it: scipy.spatial inside SupportGeometry.facets, and scipy.optimize's
+linprog inside this module's linprog shim, through which every LP runs.
 """
 
 import math
@@ -23,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import spatial
-from scipy.optimize import linprog
 
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, NonConvergenceError
@@ -93,6 +95,8 @@ class SupportGeometry:
         if self.rank < 2:
             a, eye = self.atom_coords, np.eye(self.rank)
             return np.vstack([eye, -eye]), np.concatenate([-a.max(axis=0), a.min(axis=0)])
+        from scipy import spatial
+
         facets = spatial.ConvexHull(self.atom_coords).equations
         return facets[:, :-1], facets[:, -1]
 
@@ -117,6 +121,16 @@ def _support_geometry(dist: IncrementDistribution) -> SupportGeometry:
 
 # ---------------------------------------------------------------------------
 # domain classification by linear programming
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use so that importing
+    liewalk loads no scipy.  It stays a module-level function of this module,
+    not an import inside _representation_lp, so that every LP goes through
+    the one name liewalk.legendre.linprog, where a profiler can wrap it."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
 
 def _representation_lp(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, extra=None):
     """linprog over atom weights nu >= 0 with sum nu = 1, then one more

@@ -16,7 +16,6 @@ asymptotic statement; every curve carries that disclaimer in its metadata.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._kernels import indexed_products, stoch2_log_norms
 from .distributions import IncrementDistribution
@@ -120,6 +119,8 @@ def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
     scores = None
     lam_mgf = 0.0
     if tilt is not None:
+        from scipy.special import logsumexp
+
         scores = np.array([tilt.inner(a) for a in dist.atoms])
         lam_mgf = log_mgf(dist, tilt)
         weights = np.array(dist.weights) * np.exp(scores - lam_mgf)

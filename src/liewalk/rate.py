@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from ._kernels import partial_products
 from .distributions import IncrementDistribution
@@ -414,6 +413,8 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
         return float(np.mean(vals)), points, float(np.sqrt(_penalty(prefixes[m], g_mat)))
 
     if r:
+        from scipy import optimize
+
         u, sv, _ = np.linalg.svd(jacobian(start.ravel()), full_matrices=False)
         basis = u[:, sv > 1e-9 * sv[0]]
         inner_jac = np.kron(np.eye(m), -normals)

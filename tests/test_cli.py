@@ -109,6 +109,15 @@ def test_legendre_requires_a_point():
     assert main(["legendre", "--alpha", "1", "--beta", "1"]) == 1
 
 
+@pytest.mark.parametrize("grid", ["-3", "0"])
+def test_legendre_grid_below_one_is_usage_error(grid, capsys):
+    assert main(["legendre", "--alpha", "1", "--beta", "1", "--x1", "0.25", "--x2", "0.75",
+                 "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --grid must be at least 1, got {grid}\n"
+
+
 def test_rate_report_cli(tmp_path, endpoint_file):
     out = tmp_path / "rate.json"
     csv = tmp_path / "rate.csv"
@@ -187,6 +196,46 @@ def test_config_file_merging_and_override(tmp_path):
                      if k != "subcommand")
     reparsed = parse_config_file(_write(tmp_path / "echo.cfg", text))
     assert reparsed == {k: v for k, v in resolved.items() if k != "subcommand"}
+
+
+@pytest.mark.parametrize("line, key, error", [
+    ("alpha = abc", "alpha", "expected float, got 'abc'"),
+    ("n = 100.7", "n", "expected int, got 100.7"),
+    ("n = true", "n", "expected int, got True"),
+    ("n = \"100.7\"", "n", "expected int, got '100.7'"),
+    ("m = [5]", "m", "expected int, got [5]"),
+], ids=["float-word", "int-fraction", "int-bool", "int-string", "int-list"])
+def test_config_file_value_of_the_wrong_type_is_usage_error(line, key, error, tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg", "alpha = 1\nbeta = 1\nn = 100\nm = 5\n" + line)
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: config key {key}: {error}\n"
+
+
+def test_config_file_values_take_the_flag_types(tmp_path, capsys):
+    # numbers and strings from the file become what the same flags would give
+    cfg = _write(tmp_path / "run.cfg", 'alpha = 1\nbeta = "2.5"\nn = 1e2\nm = "5"\nseed = 3')
+    assert main(["simulate", "--config", cfg]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert main(["simulate", "--alpha", "1", "--beta", "2.5", "--n", "100", "--m", "5",
+                 "--seed", "3"]) == 0
+    from_flags = json.loads(capsys.readouterr().out)
+    assert from_file["config"] == from_flags["config"]
+    assert from_file["results"] == from_flags["results"]
+    assert [type(from_file["config"][k]) for k in ("alpha", "beta", "n", "m")] == [
+        float, float, int, int]
+
+
+def test_config_file_keeps_the_unset_default_and_integer_lists(tmp_path, capsys, endpoint_file):
+    # a legendre report's config, with its "" for the unset grid, reads back
+    cfg = _write(tmp_path / "leg.cfg", 'alpha = 1\nbeta = 1\nx1 = 0.25\nx2 = 0.75\n'
+                 'x = ""\ngrid = ""')
+    assert main(["legendre", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["grid"] == ""
+    cfg = _write(tmp_path / "rate.cfg", f"alpha = 1\nendpoint = {endpoint_file}\nm = [2, 4]")
+    assert main(["rate", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["m_values"] == [2, 4]
 
 
 def _write(path, text):
@@ -311,3 +360,26 @@ def test_each_subcommand_keeps_its_options_types_and_defaults(
     given = {flag[2:] for flag in argv[::2]} - ({"seed"} if name == "legendre" else set())
     assert set(config) == {"subcommand"} | given | set(defaults)
     assert {key: config[key] for key in defaults} == defaults
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_runs_like_separate_processes(capsys, fresh_python):
+    # a failing --strict run must leave nothing behind for the next run of the parser
+    failing = ["verify-bounds", "--radius", "0.5", "--pairs", "10", "--strict"]
+    plain = ["verify-bounds", "--pairs", "20", "--seed", "4"]
+    in_process = []
+    for argv in (failing, plain):
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    cli = "import sys; from liewalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    separate = [(done.returncode, done.stdout, done.stderr)
+                for done in (fresh_python(cli, *argv) for argv in (failing, plain))]
+    assert [code for code, _, _ in in_process] == [code for code, _, _ in separate] == [3, 0]
+    assert in_process[0] == separate[0]       # no stdout; the same diagnostic on stderr
+    got, want = json.loads(in_process[1][1]), json.loads(separate[1][1])
+    assert got["config"] == want["config"] and got["config"]["radius"] == 0.2
+    assert got["results"] == want["results"]

@@ -1,5 +1,6 @@
 """Every module-level import in liewalk is read somewhere in its module, and
-every module-level function and constant somewhere in the package.
+every module-level function and constant somewhere in the package; and the
+CLI loads scipy only in the commands that compute with it.
 
 The package ships with no linter, so this test parses each module under
 src/liewalk with ast and fails on a module-level import whose bound name the
@@ -12,6 +13,8 @@ function that __init__.py imports is exported and so counts as read.
 """
 
 import ast
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,31 @@ def test_checker_finds_dead_private_code():
 
 def test_private_code_is_read():
     assert dead_code(PACKAGE) == []
+
+
+SCIPY_AT_CALL_SITES = ("scipy.optimize", "scipy.spatial", "scipy.special")
+
+
+def loaded_after(fresh_python, argv: list[str]) -> list[str]:
+    """The scipy modules of SCIPY_AT_CALL_SITES in a fresh interpreter's
+    sys.modules after import liewalk.cli, build_parser() and main(argv)."""
+    code = ("import json, sys\n"
+            "from liewalk.cli import build_parser, main\n"
+            "build_parser()\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print(json.dumps([m for m in {SCIPY_AT_CALL_SITES!r} if m in sys.modules]))\n")
+    done = fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_cli_loads_scipy_only_where_it_computes(tmp_path, fresh_python):
+    out = str(tmp_path / "out.json")
+    assert loaded_after(fresh_python, ["simulate", "--alpha", "1", "--beta", "1",
+                                       "--n", "100", "--m", "5", "--out-json", out]) == []
+    s = 1.0 - math.exp(-1.0)   # exp([[-0.8, 0.8], [0.2, -0.2]]), a reachable endpoint
+    endpoint = tmp_path / "g.json"
+    endpoint.write_text(json.dumps([[1.0 - 0.8 * s, 0.8 * s], [0.2 * s, 1.0 - 0.2 * s]]))
+    assert "scipy.optimize" in loaded_after(
+        fresh_python, ["rate", "--alpha", "1", "--endpoint", str(endpoint), "--m", "2",
+                       "--out-json", out])

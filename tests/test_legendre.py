@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -129,6 +131,22 @@ def test_conjugate_at_vertices(dist, model):
         assert res.value == pytest.approx(np.log(2.0), abs=1e-12)
         assert res.classification == "boundary"
         assert res.maximizer is None
+
+
+def test_vertex_lps_go_through_the_module_linprog(dist, model, monkeypatch):
+    # every LP runs through liewalk.legendre.linprog, the one name a profiler wraps
+    module = importlib.import_module("liewalk.legendre")
+    linprog, calls = module.linprog, []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(module, "linprog", counting_linprog)
+    res = legendre(dist, model.atom_a)
+    assert res.classification == "boundary" and res.face == (0,)
+    assert res.value == pytest.approx(np.log(2.0), abs=1e-12)
+    assert calls and set(calls) == {"highs"}
 
 
 def test_conjugate_off_constraint_infinite(dist, rng):
