@@ -2,17 +2,25 @@
 
 ``partial_products`` and ``indexed_products`` multiply step matrices in
 left-to-right order; ``stoch2_log_norms`` takes principal-log norms of 2x2
-unit-row-sum matrices in closed form.  ``partial_products`` is one doubling
-scan of stacked matmuls for every matrix size.  Its rounding is not the
-per-step chain's, but about as large: on the two-state walk at n = 200,000
-both lie within 9e-13 of a long-double recurrence.  For 2x2 step matrices
-``indexed_products`` composes affine maps of the product's first column by
-pairwise reduction, which agrees with the stacked matmul chain to about
-1e-15 per step.  For a two-atom law it reads each sample's aligned blocks
-of 8 steps as one byte into a table of the 256 composed block maps, built
-by the same reduction, so its products are bit for bit those of the
-reduction over single steps and the 1e-15 per step tolerance stands.
-Larger step matrices take one stacked matmul per step.
+unit-row-sum matrices in closed form.  Both product kernels treat a 2x2
+unit-row-sum step as the affine map x -> a x + b of the product's first
+column; the composition rule and the rebuild of a matrix from its composed
+map are written once, in ``_chain`` and ``_stoch2_matrices``.
+
+``partial_products`` is a doubling scan.  From 128 steps on, a 2x2
+unit-row-sum chain scans its affine maps: each pass is three flat float64
+operations, and on the two-state walk at n = 200,000 it lies within
+8.4e-13 of a long-double recurrence (at rates 700 and n = 100,000 within
+1e-15).  Every other stack, shorter 2x2 chains included, takes the scan of
+stacked matmuls, whose rounding is not the per-step chain's but about as
+large (within 9e-13 at n = 200,000, 6.6e-12 at rates 700).  For 2x2 step
+matrices ``indexed_products`` composes the affine maps by pairwise
+reduction, which agrees with the stacked matmul chain to about 1e-15 per
+step.  For a two-atom law it reads each sample's aligned blocks of 8 steps
+as one byte into a table of the 256 composed block maps, built by the same
+reduction, so its products are bit for bit those of the reduction over
+single steps and the 1e-15 per step tolerance stands.  Larger step
+matrices take one stacked matmul per step.
 """
 
 import numpy as np
@@ -28,21 +36,71 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# 2x2 unit-row-sum steps as affine maps of the product's first column
+#
+# A 2x2 unit-row-sum matrix is fixed by its first column, and
+# (P S)[:, 0] = P[:, 0] (S00 - S10) + S10: right-multiplying by S is the
+# affine map x -> a x + b with a = S00 - S10, b = S10, applied to both
+# entries of the column.  Maps compose as in ``_chain``, and the identity's
+# column is (1, 0), so the product of a chain is
+# [[A + B, 1 - A - B], [B, 1 - B]] for its composed map (A, B).
+
+def _row_sum_error(mats: np.ndarray) -> float:
+    """Largest distance of a row sum of the stack from 1 (nan if any is nan)."""
+    return np.abs(mats.sum(axis=-1) - 1.0).max()
+
+
+def _affine_maps(mats: np.ndarray):
+    """The maps (a, b) = (S00 - S10, S10) of a (..., 2, 2) stack, as new arrays."""
+    return mats[..., 0, 0] - mats[..., 1, 0], mats[..., 1, 0].copy()
+
+
+def _chain(a_l, b_l, a_r, b_r):
+    """The map (a_l, b_l) followed by (a_r, b_r): x -> a_r (a_l x + b_l) + b_r."""
+    return a_l * a_r, b_l * a_r + b_r
+
+
+def _stoch2_matrices(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write the unit-row-sum products of the composed maps (a, b) into out."""
+    out[:, 0, 0] = a + b
+    out[:, 1, 0] = b
+    out[:, :, 1] = 1.0 - out[:, :, 0]
+
+
+# ---------------------------------------------------------------------------
 # partial products of a single chain of step matrices
+
+# Below about 100 steps the affine scan gains little or nothing over the
+# matmul scan (numpy 2.4, one core), so short 2x2 chains, such as the m <= 16
+# segment products of the rate solver and psi_m, keep the matmul scan's
+# arithmetic.
+_AFFINE_SCAN_MIN = 128
+
 
 def partial_products(steps: np.ndarray) -> np.ndarray:
     """Cumulative left-to-right products of a (n, d, d) stack, as (n + 1, d, d).
 
     out[0] = I and out[k] = steps[0] @ ... @ steps[k-1].  A doubling scan
     (Hillis and Steele, 1986): after the pass at offset off, out[k] holds the
-    product of the last min(k, 2 off) steps up to k, so ceil(log2 n) stacked
-    matmuls cover every prefix.  Nothing is divided, so large steps do not
-    overflow a quotient.
+    product of the last min(k, 2 off) steps up to k, so ceil(log2 n) passes
+    cover every prefix.  Nothing is divided, so large steps do not overflow
+    a quotient.  A 2x2 chain of at least _AFFINE_SCAN_MIN steps with unit
+    row sums within MEMBERSHIP_TOL scans the steps' affine maps of the first
+    column and rebuilds each product from its map; every other stack scans
+    with stacked matmuls.
     """
     steps = np.asarray(steps, dtype=np.float64)
     n, d, _ = steps.shape
     out = np.empty((n + 1, d, d))
     out[0] = np.eye(d)
+    if d == 2 and n >= _AFFINE_SCAN_MIN and _row_sum_error(steps) <= MEMBERSHIP_TOL:
+        a, b = _affine_maps(steps)
+        off = 1
+        while off < n:
+            a[off:], b[off:] = _chain(a[:-off], b[:-off], a[off:], b[off:])
+            off *= 2
+        _stoch2_matrices(a, b, out[1:])
+        return out
     out[1:] = steps
     off = 1
     while off < n:
@@ -81,14 +139,6 @@ def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
     return out
 
 
-# A 2x2 unit-row-sum matrix is fixed by its first column, and
-# (P S)[:, 0] = P[:, 0] (S00 - S10) + S10: right-multiplying by S is the
-# affine map x -> a x + b with a = S00 - S10, b = S10, applied to both
-# entries of the column.  Maps compose as (a_l, b_l) then (a_r, b_r) =
-# (a_l a_r, b_l a_r + b_r), and the identity's column is (1, 0), so the
-# product of a chain is [[A + B, 1 - A - B], [B, 1 - B]] for its composed
-# map (A, B).
-#
 # A two-atom law has only 256 distinct blocks of 8 steps.  One table holds
 # the composed map of every block, and each sample's aligned blocks gather
 # from it through one code each: `np.packbits` reads a block's atom indices
@@ -114,12 +164,11 @@ def _stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     Entries of idx must lie in [0, k), as indexed_products checks: packbits
     reads any nonzero entry as 1.
     """
-    row_err = np.abs(step_mats.sum(axis=-1) - 1.0).max()
+    row_err = _row_sum_error(step_mats)
     if not row_err <= MEMBERSHIP_TOL:
         raise InvalidArgumentError(
             f"2x2 step matrices need unit row sums; off by {row_err:.3g}")
-    atom_a = step_mats[:, 0, 0] - step_mats[:, 1, 0]
-    atom_b = step_mats[:, 1, 0]
+    atom_a, atom_b = _affine_maps(step_mats)
     n_samples, n_steps = idx.shape
     if n_steps == 0:
         return np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
@@ -140,11 +189,7 @@ def _stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
                 a[:, -1], b[:, -1] = _compose(atom_a[last], atom_b[last])
         else:
             a, b = atom_a[part], atom_b[part]
-        a, b = _compose(a, b)
-        p = out[start:start + rows]
-        p[:, 0, 0] = a + b
-        p[:, 1, 0] = b
-        p[:, :, 1] = 1.0 - p[:, :, 0]
+        _stoch2_matrices(*_compose(a, b), out[start:start + rows])
     return out
 
 
@@ -152,12 +197,10 @@ def _compose(a: np.ndarray, b: np.ndarray):
     """Compose each row's affine maps left to right, pairwise: log2(n) passes."""
     while a.shape[1] > 1:
         m = a.shape[1]
-        a_r = a[:, 1::2]
-        b_next = b[:, 0:m - 1:2] * a_r + b[:, 1::2]
-        a_next = a[:, 0:m - 1:2] * a_r
+        a_next, b_next = _chain(a[:, 0:m - 1:2], b[:, 0:m - 1:2], a[:, 1::2], b[:, 1::2])
         if m % 2:
-            b_next[:, -1] = b_next[:, -1] * a[:, -1] + b[:, -1]
-            a_next[:, -1] *= a[:, -1]
+            a_next[:, -1], b_next[:, -1] = _chain(a_next[:, -1], b_next[:, -1],
+                                                  a[:, -1], b[:, -1])
         a, b = a_next, b_next
     return a[:, 0], b[:, 0]
 

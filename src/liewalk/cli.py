@@ -7,7 +7,8 @@ required key.  build_parser() adds the common --config, --out-json,
 parser once per process and returns that same parser on every call, so
 repeated main() calls in one process do not rebuild the six subparsers.
 main() resolves the config (flag, else --config file value converted with
-the key's flag type, else the table's default), calls the command for
+the key's flag type, else the table's default; a file key the subcommand
+does not take is a usage error), calls the command for
 (results, table, passed), then writes the JSON report with the config
 embedded, the CSV when --out-csv is given and the command has a table, and
 the JSON text on stdout when there is no --out-json.  DESCRIPTION is the
@@ -178,7 +179,16 @@ def _file_value(key: str, kind: type, default, value):
 
 
 def _resolve(args, file_cfg: dict, keys: dict) -> dict:
-    """Merge config file values with CLI flags (flags win); fill the table's defaults."""
+    """Merge config file values with CLI flags (flags win); fill the table's defaults.
+
+    A file key must be one of the subcommand's keys, or seed, which every
+    subcommand takes as a flag, so a misspelled key is not dropped.
+    """
+    known = set(keys) | {"seed"}
+    for key in file_cfg:
+        if key not in known:
+            raise UsageError(f"config key {key}: not a key of this subcommand; "
+                             f"expected one of {', '.join(sorted(known))}")
     resolved = {}
     for key, (kind, default, *_) in keys.items():
         flag = getattr(args, key.replace("-", "_"), None)

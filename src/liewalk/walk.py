@@ -5,7 +5,9 @@ X_k drawn from a finitely supported law.  Segment decompositions cut the
 walk into m blocks whose displacements stay inside the logarithm domain,
 and the replacement certificate compares prefix logs against the running
 increment average.  A trajectory stores all n + 1 partial products, built
-by one doubling scan (``_kernels.partial_products``).
+by one doubling scan (``_kernels.partial_products``): on the 2x2
+unit-row-sum group, from 128 steps on, a scan of the steps' affine maps of
+the first column, and otherwise a scan of stacked matmuls.
 
 Reproducibility: a trajectory is a pure function of (distribution, n,
 seed); increments are drawn by inverse CDF from a PCG64 stream seeded with

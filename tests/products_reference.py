@@ -1,7 +1,9 @@
 """Partial products step by step, the references for the doubling scan.
 
 ``partial_products`` is a test-local copy of the per-step loop that
-liewalk._kernels ran before its partial products became a doubling scan.
+liewalk._kernels ran before its partial products became a doubling scan,
+and ``matmul_scan`` a copy of that scan of stacked matmuls, which
+liewalk._kernels keeps for every stack but long 2x2 unit-row-sum chains.
 ``stoch2_partial_products_longdouble`` is the same chain of 2x2 unit-row-sum
 steps carried in long double (64-bit mantissa on x86-64) through the affine
 map of the product's first column, so its own rounding is about 2^11 times
@@ -19,6 +21,20 @@ def partial_products(steps: np.ndarray) -> np.ndarray:
     out[0] = np.eye(d)
     for k in range(n):
         out[k + 1] = out[k] @ steps[k]
+    return out
+
+
+def matmul_scan(steps: np.ndarray) -> np.ndarray:
+    """Cumulative left-to-right products by the doubling scan of stacked matmuls."""
+    steps = np.asarray(steps, dtype=np.float64)
+    n, d, _ = steps.shape
+    out = np.empty((n + 1, d, d))
+    out[0] = np.eye(d)
+    out[1:] = steps
+    off = 1
+    while off < n:
+        out[1 + off:] = out[1:-off] @ out[1 + off:]
+        off *= 2
     return out
 
 

@@ -1,10 +1,11 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from liewalk import example_model, simulate_walk
+from liewalk import cli, example_model, replacement_deviation, simulate_walk
 from liewalk.cli import build_parser, main, parse_config_file, write_csv
 from liewalk.lie import _expm
 from logm_reference import logm as reference_logm
@@ -236,6 +237,34 @@ def test_config_file_keeps_the_unset_default_and_integer_lists(tmp_path, capsys,
     cfg = _write(tmp_path / "rate.cfg", f"alpha = 1\nendpoint = {endpoint_file}\nm = [2, 4]")
     assert main(["rate", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["m_values"] == [2, 4]
+
+
+def test_config_file_key_the_subcommand_does_not_take_is_usage_error(tmp_path, capsys):
+    # a misspelled seed would otherwise be dropped and the run echo seed 0
+    cfg = _write(tmp_path / "run.cfg", "alpha = 1\nbeta = 1\nn = 100\nm = 5\nsede = 9")
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: config key sede: not a key of this subcommand; "
+                            "expected one of alpha, beta, m, n, seed\n")
+    # seed is every subcommand's flag, so legendre takes it from a file too
+    cfg = _write(tmp_path / "leg.cfg", "alpha = 1\nbeta = 1\nx1 = 0.25\nx2 = 0.75\nseed = 9")
+    assert main(["legendre", "--config", cfg]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)["config"]
+
+
+def test_failed_certificate_under_strict_exits_2_and_still_writes(tmp_path, monkeypatch, capsys):
+    def failing(traj, m):
+        return dataclasses.replace(replacement_deviation(traj, m), passed=False)
+    monkeypatch.setattr(cli, "replacement_deviation", failing)
+    argv = ["simulate", "--alpha", "1", "--beta", "1", "--n", "200", "--m", "5", "--seed", "3"]
+    strict, plain = tmp_path / "strict.json", tmp_path / "plain.json"
+    assert main(argv + ["--strict", "--out-json", str(strict)]) == cli.EXIT_CERTIFICATE == 2
+    assert main(argv + ["--out-json", str(plain)]) == 0
+    assert capsys.readouterr() == ("", "")
+    reports = [load(path) for path in (strict, plain)]
+    assert [r["results"]["deviation_certificate"]["passed"] for r in reports] == [False, False]
+    assert reports[0]["results"] == reports[1]["results"]
 
 
 def _write(path, text):

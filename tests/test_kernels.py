@@ -8,6 +8,7 @@ from liewalk._kernels import indexed_products, partial_products, stoch2_log_norm
 from liewalk.errors import InvalidArgumentError
 from liewalk.lie import OutOfDomainError, _expm, _logm
 from logm_reference import logm as reference_logm
+from products_reference import matmul_scan
 from products_reference import partial_products as looped_partial_products
 from products_reference import stoch2_partial_products_longdouble, stoch2_products
 
@@ -54,8 +55,9 @@ def test_partial_products_scan_sizes(rng, n, d):
 
 @pytest.mark.parametrize("alpha, n, tol", [(1.0, 200_000, 2e-12), (700.0, 100_000, 1e-11)])
 def test_partial_products_2x2_against_longdouble(alpha, n, tol):
-    # measured: 9.0e-13 (alpha 1) and 6.6e-12 (alpha 700); the per-step
-    # loop is off by as much (8.9e-13 and 6.9e-12)
+    # measured: 8.4e-13 (alpha 1) and 9.6e-16 (alpha 700) with the affine
+    # scan; the matmul scan is off by 9.0e-13 and 6.6e-12, the per-step loop
+    # by 8.9e-13 and 6.9e-12
     steps = two_state_steps(alpha, n, seed=7)
     ref = stoch2_partial_products_longdouble(steps)
     err = np.abs(partial_products(steps) - ref).max()
@@ -64,15 +66,45 @@ def test_partial_products_2x2_against_longdouble(alpha, n, tol):
 
 def test_walk_with_large_trace_stays_finite_on_the_group():
     # |tr X| = 740 > 709: on this walk P = cumprod(a), B = P cumsum(b / P)
-    # overflows to inf, as b / P passes 1e308; the scan divides by nothing
+    # overflows to inf, as b / P passes 1e308; neither scan divides
     alpha = 740.0
     dist = IncrementDistribution(
         atoms=(AlgebraVector([[-alpha, alpha], [0.0, 0.0]]),
                AlgebraVector([[0.0, 0.0], [alpha, -alpha]])),
         weights=(0.5, 0.5))
-    pts = simulate_walk(dist, 50, seed=7).points
-    assert np.isfinite(pts).all()
-    np.testing.assert_allclose(pts.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    for n in (50, 200_000):     # the matmul scan, the affine scan
+        pts = simulate_walk(dist, n, seed=7).points
+        assert np.isfinite(pts).all()
+        np.testing.assert_allclose(pts.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_partial_products_2x2_large_trace_against_longdouble():
+    # measured 5.0e-15; the matmul scan is off by 1.6e-12
+    steps = two_state_steps(740.0, 200_000, seed=7)
+    got = partial_products(steps)
+    assert np.isfinite(got).all()
+    assert np.abs(got - stoch2_partial_products_longdouble(steps)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 1025])
+def test_partial_products_2x2_scan_sizes_against_longdouble(rng, n):
+    # n = 127 takes the matmul scan, the rest the affine scan; either is
+    # off by at most one float64 epsilon per step
+    steps = random_stoch2_chain(rng, n)
+    got = partial_products(steps)
+    assert np.array_equal(got[0], np.eye(2))
+    err = np.abs(got - stoch2_partial_products_longdouble(steps)).max()
+    assert err <= np.finfo(np.float64).eps * n, err
+
+
+@pytest.mark.parametrize("steps", [
+    lambda rng: random_stoch2_chain(rng, 127),
+    lambda rng: random_stoch2_chain(rng, 1025) + 0.5e-6,    # row sums off by 1e-6
+    lambda rng: np.eye(3) + rng.uniform(-0.05, 0.05, size=(1025, 3, 3)),
+], ids=["2x2-below-floor", "2x2-off-group", "3x3"])
+def test_partial_products_keeps_the_matmul_scan(rng, steps):
+    steps = steps(rng)
+    assert partial_products(steps).tobytes() == matmul_scan(steps).tobytes()
 
 
 def test_partial_products_3x3_against_loop(rng):
@@ -144,6 +176,11 @@ def random_stoch2_steps(rng, k, n):
         np.fill_diagonal(a, 0.0)
         a -= np.diag(a.sum(axis=1))
     return _expm(atoms / n)
+
+
+def random_stoch2_chain(rng, n):
+    """n steps drawn from 3 atoms of ``random_stoch2_steps``."""
+    return random_stoch2_steps(rng, 3, n)[rng.integers(0, 3, size=n)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 17])   # only k = 2 reads the block table
