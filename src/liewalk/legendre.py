@@ -12,10 +12,10 @@ see), which works on stacks of points; _dual_newton is one row of it.
 legendre() classifies its point by linear programming (inside / boundary
 / outside, tolerance 1e-9) and computes boundary values on the minimal
 face with the original sub-probability weights, matching the limit value
-of the conjugate there.  The path quadrature runs Newton first, on all its
-nodes at once (lstar_interior_stack), and leaves to these LPs only the
-points Newton does not settle as inside: off the hull, with a diverging
-dual, or near a face.
+of the conjugate there.  The path quadrature settles its nodes by the
+hull's facets: those more than DOMAIN_TOL inside every facet go through
+Newton at once (lstar_interior_stack), and only the rest, and the nodes
+whose dual diverges, reach legendre() and these LPs.
 
 scipy is imported where it computes, so that importing liewalk loads none
 of it: scipy.spatial inside SupportGeometry.facets, and scipy.optimize's
@@ -35,7 +35,6 @@ from .lie import AlgebraVector, _frobenius_norms
 DOMAIN_TOL = 1e-9
 GRAD_TOL = 1e-8       # stationarity tolerance of the dual optimizer
 DIVERGENCE_NORM = 1e6
-SETTLED_WEIGHT = 1e-6  # least tilted atom weight of a point Newton settles as inside
 
 
 def log_mgf(dist: IncrementDistribution, lam: AlgebraVector) -> float:
@@ -50,11 +49,11 @@ def log_mgf(dist: IncrementDistribution, lam: AlgebraVector) -> float:
 class SupportGeometry:
     """The chart of the support's affine hull: x = xbar + sum_j t_j U_j.
 
-    Every evaluator of the conjugate works in this chart, through four
-    operations on one (d, d) matrix or a (..., d, d) stack: to_coords
-    projects into it, span and points embed coordinates back, and facets
-    bounds the hull.  Rank 0 (a point mass) needs no branch: its frame and
-    coordinates are empty.
+    Every evaluator of the conjugate works in this chart, on one (d, d)
+    matrix or a (..., d, d) stack: to_coords projects into it, span and
+    points embed coordinates back, and facets and facet_margin bound the
+    hull.  Rank 0 (a point mass) needs no branch: its frame, coordinates and
+    facets are empty.
     """
 
     xbar: np.ndarray          # (d, d) weighted mean of the atoms
@@ -99,6 +98,12 @@ class SupportGeometry:
 
         facets = spatial.ConvexHull(self.atom_coords).equations
         return facets[:, :-1], facets[:, -1]
+
+    def facet_margin(self, t: np.ndarray) -> np.ndarray:
+        """max(normals @ t + offsets) of each row of a (..., r) array: below 0
+        inside the hull, NaN for a NaN row, -inf for a point mass (no facets)."""
+        normals, offsets = self.facets
+        return (t @ normals.T + offsets).max(axis=-1, initial=-np.inf)
 
 
 def _span_basis(centered: np.ndarray) -> np.ndarray:
@@ -413,13 +418,3 @@ def lstar_interior_stack(geom: SupportGeometry, x_mats: np.ndarray,
     lams[on[ok]] = c[ok]
     return vals, lams
 
-
-def _settled_inside(geom: SupportGeometry, vals: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Rows of lstar_interior_stack that legendre() returns unchanged: finite, with
-    a tilted law w_i e^{<c, a_i>} / Z that weighs every atom above SETTLED_WEIGHT,
-    so the LPs, at DOMAIN_TOL, call the point inside.  On a face the dual runs
-    off while its gradient falls below GRAD_TOL, and that law empties the atoms
-    off the face."""
-    logs = geom.log_weights + lams @ geom.atom_coords.T
-    least = logs.min(axis=1) - np.logaddexp.reduce(logs, axis=1)
-    return np.isfinite(vals) & (least > np.log(SETTLED_WEIGHT))

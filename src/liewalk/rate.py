@@ -39,11 +39,10 @@ import numpy as np
 
 from ._kernels import partial_products
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, LieWalkError, OutOfDomainError
+from .errors import InvalidArgumentError, OutOfDomainError, SingularMatrixError
 from .legendre import (
     DOMAIN_TOL,
     SupportGeometry,
-    _settled_inside,
     _support_geometry,
     legendre,
     lstar_interior_stack,
@@ -68,12 +67,13 @@ FACET_MARGIN = 1e-7    # how far the solver keeps segments inside the hull's fac
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormPath2:
-    """Two-state group path [[1 - g1, g1], [g2, 1 - g2]] with analytic derivatives."""
+    """Two-state group path [[1 - g1, g1], [g2, 1 - g2]] with analytic derivatives;
+    each callable takes an array of times (a scalar return stands for every time)."""
 
-    g1: Callable[[float], float]
-    g2: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    g1: Callable[[np.ndarray], np.ndarray]
+    g2: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
 
     dim = 2
 
@@ -82,25 +82,18 @@ class ClosedFormPath2:
         return np.array([[1.0 - a, a], [b, 1.0 - b]])
 
     def log_derivative(self, t: float) -> AlgebraVector:
-        a, b = self.g1(t), self.g2(t)
-        da, db = self.d1(t), self.d2(t)
+        return logarithmic_derivative(self, t)
+
+    def _velocities(self, ts: np.ndarray) -> np.ndarray:
+        """gamma^-1 gamma' at every t of ts: the (n, 2, 2) stack, NaN on the
+        rows where the path leaves the invertible region (1 - g1 - g2 <= 0)."""
+        a, b, da, db = (np.broadcast_to(f(ts), ts.shape)
+                        for f in (self.g1, self.g2, self.d1, self.d2))
         den = 1.0 - a - b
-        if den <= 0:
-            raise OutOfDomainError(f"path left the invertible region at t={t}")
+        den = np.where(den > 0, den, np.nan)
         u1 = ((1.0 - b) * da + a * db) / den
         u2 = ((1.0 - a) * db + b * da) / den
-        return AlgebraVector([[-u1, u1], [u2, -u2]])
-
-    def _velocities(self, ts: np.ndarray):
-        """log_derivative at each t of ts, node by node: the (n, 2, 2) stack,
-        NaN from the first t where it raises, and {that row: its error}."""
-        out = np.full((len(ts), 2, 2), np.nan)
-        for i, t in enumerate(ts):
-            try:
-                out[i] = self.log_derivative(t).entries
-            except LieWalkError as exc:  # the caller raises it once it reaches this row
-                return out, {i: exc}
-        return out, {}
+        return np.stack([-u1, u1, u2, -u2], axis=-1).reshape(-1, 2, 2)
 
 
 class SampledPath:
@@ -127,7 +120,13 @@ class SampledPath:
         self.mats = mats
         self.dim = mats.shape[-1]
         # every segment's step mats[i]^-1 mats[i + 1], in one solve and one stacked log
-        self._segment_logs, ok, reasons = _logm_stack(np.linalg.solve(mats[:-1], mats[1:]))
+        try:
+            steps = np.linalg.solve(mats[:-1], mats[1:])
+        except np.linalg.LinAlgError:
+            # the solve's own LU factors: its exactly zero pivot is a zero determinant
+            j = int(np.argmin(np.abs(np.linalg.det(mats[:-1]))))
+            raise SingularMatrixError(f"sample {j} (t={ts[j]}) is singular") from None
+        self._segment_logs, ok, reasons = _logm_stack(steps)
         if not ok.all():
             first = int(np.argmin(ok))
             raise OutOfDomainError(f"segment {first} has no principal log: {reasons[first]}")
@@ -148,26 +147,26 @@ class SampledPath:
             raise InvalidArgumentError("t must lie in [0, 1]")
         return self._points(np.array([t], dtype=np.float64))[0]
 
-    def _velocities(self, ts: np.ndarray):
+    def _velocities(self, ts: np.ndarray) -> np.ndarray:
         """The exact velocity at each t of ts, its segment's log over the
-        segment's length: the (n, d, d) stack and no errors."""
+        segment's length: the (n, d, d) stack."""
         if ts.min() < -1e-12 or ts.max() > 1.0 + 1e-12:
             raise InvalidArgumentError("t must lie in [0, 1]")
         i = self._segment(ts)
-        return self._segment_logs[i] / (self.ts[i + 1] - self.ts[i])[:, None, None], {}
+        return self._segment_logs[i] / (self.ts[i + 1] - self.ts[i])[:, None, None]
 
 
 def logarithmic_derivative(path, t: float) -> AlgebraVector:
-    """gamma(t)^-1 gamma'(t) as an algebra element.
+    """gamma(t)^-1 gamma'(t) as an algebra element: row 0 of the velocity stack.
 
     Closed-form paths use their analytic derivative; sampled paths are exact
     too, their segment log over the segment's length.  At a sample time
     inside (0, 1) a sampled path takes the segment that starts there.
     """
-    velocities, errors = path._velocities(np.array([t], dtype=np.float64))
-    if errors:
-        raise errors[0]
-    return AlgebraVector(velocities[0])
+    velocity = path._velocities(np.array([t], dtype=np.float64))[0]
+    if np.isnan(velocity).any():
+        raise OutOfDomainError(f"path left the invertible region at t={t}")
+    return AlgebraVector(velocity)
 
 
 def _positive_int(name: str, n) -> int:
@@ -186,27 +185,28 @@ def rate_along_path(dist: IncrementDistribution, path,
                     subintervals: int = GL_SUBINTERVALS_DEFAULT) -> float:
     """Composite Gauss-Legendre quadrature of Lstar along the path.
 
-    The node velocities are exact: a closed-form path's analytic ones, or a
-    sampled path's segment logs over the segment lengths, taken when it was
-    built.  Returns +inf as soon as one node's velocity leaves the conjugate
-    domain, in node order: a later node whose velocity raises is not
-    reached.  All node velocities go through one lstar_interior_stack; only
-    the nodes it does not settle as inside (infinite, or near a face) go
-    through legendre(), which classifies boundary and off-hull velocities.
+    The node velocities are one exact stack (see the path classes).  Nodes on
+    the support's affine hull and more than DOMAIN_TOL inside every facet go
+    through one lstar_interior_stack.  The rest, and inside nodes whose Newton
+    value is not finite, go in node order: a NaN velocity raises, any other
+    goes through legendre(), and the first +inf is returned at once.
     """
     quad_nodes = _positive_int("quad_nodes", quad_nodes)
     subintervals = _positive_int("subintervals", subintervals)
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     width = 1.0 / subintervals
     ts = ((np.arange(subintervals) * width)[:, None] + 0.5 * (nodes + 1.0) * width).ravel()
-    velocities, errors = path._velocities(ts)
+    velocities = path._velocities(ts)
     if velocities.shape[-1] != dist.dim:
         raise InvalidArgumentError("dimension mismatch between path and support")
     geom = _support_geometry(dist)
-    vals, lams = lstar_interior_stack(geom, velocities, np.zeros((len(ts), geom.rank)))
-    for i in np.flatnonzero(~_settled_inside(geom, vals, lams)):
-        if i in errors:
-            raise errors[i]
+    t, residual = geom.to_coords(velocities)
+    inside = (residual <= DOMAIN_TOL) & (geom.facet_margin(t) < -DOMAIN_TOL)
+    vals = np.full(len(ts), np.nan)
+    vals[inside], _ = lstar_interior_stack(geom, velocities[inside], np.zeros_like(t[inside]))
+    for i in np.flatnonzero(~np.isfinite(vals)):
+        if np.isnan(velocities[i]).any():
+            raise OutOfDomainError(f"path left the invertible region at t={ts[i]}")
         vals[i] = legendre(dist, AlgebraVector(velocities[i])).value
         if not np.isfinite(vals[i]):
             return float("inf")
@@ -387,7 +387,7 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
 
     def objective(flat):
         coords = flat.reshape(m, r)
-        if (coords @ normals.T + offsets > 0).any():   # off the hull, where the dual diverges
+        if (geom.facet_margin(coords) > 0).any():   # off the hull, where the dual diverges
             return np.inf, np.zeros_like(flat)
         vals, lams = lstar_interior_stack(geom, geom.points(coords), warm)
         if not np.isfinite(vals).all():
@@ -410,6 +410,9 @@ def discretized_rate(dist: IncrementDistribution, g: GroupElement, m: int,
         """(value, hull points, residual) of one segment list."""
         points, _, prefixes = segments(coords.ravel())
         vals, _ = lstar_interior_stack(geom, points, warm)
+        # on a face Newton only approaches the value that legendre() gives
+        for i in np.flatnonzero(np.abs(geom.facet_margin(coords)) <= DOMAIN_TOL):
+            vals[i] = legendre(dist, AlgebraVector(points[i])).value
         return float(np.mean(vals)), points, float(np.sqrt(_penalty(prefixes[m], g_mat)))
 
     if r:

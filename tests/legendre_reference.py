@@ -2,15 +2,17 @@
 
 Test-local copies of the loops that liewalk ran before its conjugate took
 stacks: the damped Newton on one target at a time, and the quadrature that
-takes one velocity and one legendre() call per node (a sampled path's
-velocity from its own segment log, taken per matrix).  Tests compare
-liewalk's stacked code with these loops bit for bit.
+takes one velocity and one legendre() call per node (a closed-form path's
+velocity from its formula at one time, a sampled path's from its own
+segment log, taken per matrix).  Tests compare liewalk's stacked code
+with these loops bit for bit.
 """
 
 import importlib
 
 import numpy as np
 
+from liewalk import ClosedFormPath2, OutOfDomainError
 from liewalk.legendre import DIVERGENCE_NORM, GRAD_TOL, legendre
 from liewalk.lie import AlgebraVector
 
@@ -88,10 +90,18 @@ def reference_legendre(dist, x):
 
 
 def logarithmic_derivative(path, t):
-    """gamma(t)^-1 gamma'(t): a closed-form path's own, or a SampledPath's
-    segment log over the segment's length, each log taken on its own."""
-    if hasattr(path, "log_derivative"):
-        return path.log_derivative(t)
+    """gamma(t)^-1 gamma'(t): a closed-form path's analytic formula at the one
+    time t, or a SampledPath's segment log over the segment's length, each
+    log taken on its own."""
+    if isinstance(path, ClosedFormPath2):
+        a, b = path.g1(t), path.g2(t)
+        da, db = path.d1(t), path.d2(t)
+        den = 1.0 - a - b
+        if den <= 0:
+            raise OutOfDomainError(f"path left the invertible region at t={t}")
+        u1 = ((1.0 - b) * da + a * db) / den
+        u2 = ((1.0 - a) * db + b * da) / den
+        return AlgebraVector([[-u1, u1], [u2, -u2]])
     i = int(np.searchsorted(path.ts, t, side="right") - 1)
     i = min(max(i, 0), len(path.ts) - 2)
     step = np.linalg.solve(path.mats[i], path.mats[i + 1])
@@ -99,16 +109,25 @@ def logarithmic_derivative(path, t):
 
 
 def rate_along_path(dist, path, quad_nodes=8, subintervals=32):
-    """Composite Gauss-Legendre quadrature of Lstar along the path, node by node."""
+    """Composite Gauss-Legendre quadrature of Lstar along the path, node by node.
+
+    legendre() is deterministic, so a node whose velocity has the bytes of an
+    earlier node's takes that node's value: a sampled path's nodes share its
+    few segment velocities.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     total = 0.0
     width = 1.0 / subintervals
+    values = {}
     for j in range(subintervals):
         lo = j * width
         for xi, wi in zip(nodes, weights):
             t = lo + 0.5 * (xi + 1.0) * width
             u = logarithmic_derivative(path, t)
-            val = reference_legendre(dist, u).value
+            key = u.entries.tobytes()
+            if key not in values:
+                values[key] = reference_legendre(dist, u).value
+            val = values[key]
             if not np.isfinite(val):
                 return float("inf")
             total += 0.5 * width * wi * val

@@ -13,17 +13,23 @@ import pytest
 import liewalk as lw
 import liewalk.rate as rate_module
 from liewalk import (
+    AlgebraVector,
     ClosedFormPath2,
+    GroupElement,
+    IncrementDistribution,
     InvalidArgumentError,
     OutOfDomainError,
     SampledPath,
+    SingularMatrixError,
     logarithmic_derivative,
     rate_along_path,
 )
+from liewalk.legendre import DOMAIN_TOL
 from liewalk.lie import _expm
 from legendre_reference import logarithmic_derivative as reference_log_derivative
 from legendre_reference import rate_along_path as reference_rate_along_path
 from test_acceptance import ALPHA, line_endpoint, minimizing_path_s2, sampled_minimizer
+from test_legendre import generator_law_3x3
 from test_rate import theta_split_path, vertex_path
 
 CRITERION_5 = [0.52, 0.58, 0.4 / (1 - np.exp(-ALPHA)), 0.7, 0.8]
@@ -91,8 +97,8 @@ def test_raising_node_after_finite_nodes_raises(dist):
     # constant split up to t = 1/2, then a jump out of the invertible region
     g, _ = line_endpoint(0.7)
     split = lw.optimal_path_s2(ALPHA, g)
-    path = ClosedFormPath2(g1=lambda t: split.g1(t) if t < 0.5 else 0.9,
-                           g2=lambda t: split.g2(t) if t < 0.5 else 0.9,
+    path = ClosedFormPath2(g1=lambda t: np.where(t < 0.5, split.g1(t), 0.9),
+                           g2=lambda t: np.where(t < 0.5, split.g2(t), 0.9),
                            d1=split.d1, d2=split.d2)
     for quadrature in (rate_along_path, reference_rate_along_path):
         with pytest.raises(OutOfDomainError, match="invertible region at t=0.5"):
@@ -108,6 +114,64 @@ def test_interior_path_calls_no_legendre(dist, monkeypatch):
     assert calls == []
     rate_along_path(dist, vertex_path(), **FEW_NODES)
     assert len(calls) == 32
+
+
+def piecewise_path(velocities):
+    """SampledPath whose velocity is velocities[j] on the j-th of len(velocities)
+    equal segments of [0, 1]."""
+    h = 1.0 / len(velocities)
+    mats = [np.eye(velocities[0].shape[0])]
+    for u in velocities:
+        mats.append(mats[-1] @ _expm(h * u))
+    return SampledPath(np.linspace(0.0, 1.0, len(mats)), np.array(mats))
+
+
+def test_legendre_runs_on_the_nodes_within_domain_tol_of_a_facet(dist, monkeypatch):
+    # velocities A + s (B - A) on five segments; the hull is the interval from
+    # A to B, 2 long in Frobenius norm, so a node lies 2 s from vertex A
+    a, b = (atom.entries for atom in dist.atoms)
+    shares = [0.0, 0.25 * DOMAIN_TOL, 2 * DOMAIN_TOL, 0.3, 1.0 - 0.4 * DOMAIN_TOL]
+    near = [True, True, False, False, True]
+    path = piecewise_path([a + s * (b - a) for s in shares])
+    calls = []
+    monkeypatch.setattr(rate_module, "legendre",
+                        lambda d, x: calls.append(x) or lw.legendre(d, x))
+    assert np.isfinite(assert_bit_identical(dist, path, **FEW_NODES))
+    nodes, _ = np.polynomial.legendre.leggauss(FEW_NODES["quad_nodes"])
+    width = 1.0 / FEW_NODES["subintervals"]
+    ts = ((np.arange(FEW_NODES["subintervals"]) * width)[:, None]
+          + 0.5 * (nodes + 1.0) * width).ravel()
+    expected = [logarithmic_derivative(path, t) for t in ts
+                if near[min(int(t * len(shares)), len(shares) - 1)]]
+    assert 0 < len(expected) < len(ts)
+    assert [x.entries.tobytes() for x in calls] == [x.entries.tobytes() for x in expected]
+
+
+def test_3x3_sampled_minimizer_matches_node_loop():
+    law = generator_law_3x3()
+    hull_points = np.random.default_rng(0).dirichlet(np.ones(4), size=4) @ \
+        law.atom_stack().reshape(4, 9)
+    g = np.eye(3)
+    for p in hull_points:
+        g = g @ _expm(p.reshape(3, 3) / 4)
+    best = lw.discretized_rate(law, GroupElement(g), 4)
+    path = piecewise_path([4 * x.entries for x in best.segments])
+    assert np.isfinite(assert_bit_identical(law, path))
+    assert np.isfinite(assert_bit_identical(law, path, **FEW_NODES))
+
+
+def test_point_mass_quadrature_is_zero_along_its_exponential_only():
+    x = np.array([[-0.4, 0.3, 0.1], [0.2, -0.2, 0.0], [0.0, 0.5, -0.5]])
+    law = IncrementDistribution(atoms=(AlgebraVector(x),), weights=(1.0,))
+    value = rate_along_path(law, piecewise_path([x, x, x]))
+    assert type(value) is float and value == 0.0
+    assert rate_along_path(law, piecewise_path([x, 1.1 * x, x])) == np.inf
+
+
+def test_singular_sample_raises_singular_matrix_error():
+    mats = np.array([np.eye(2), [[0.5, 0.5], [0.5, 0.5]], np.eye(2)])
+    with pytest.raises(SingularMatrixError, match="sample 1 .t=0.5. is singular"):
+        SampledPath([0.0, 0.5, 1.0], mats)
 
 
 def test_sampled_path_velocities_match_node_loop(dist):

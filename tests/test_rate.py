@@ -537,6 +537,15 @@ def test_3x3_ladder_is_finite_and_monotone():
     assert max(ladder[m].constraint_residual for m in ladder) <= 1e-12
 
 
+def test_discretized_rate_at_a_vertex_endpoint_is_minus_log_weight(dist):
+    # the only path to exp(A) runs along the vertex A, where legendre() gives
+    # the face value -log w = log 2 and dual Newton only approaches it from below
+    for atom in dist.atoms:
+        g = GroupElement(_expm(atom.entries))
+        for m in (1, 2, 4, 8):
+            assert discretized_rate(dist, g, m).value == pytest.approx(np.log(2.0), abs=1e-15)
+
+
 @pytest.mark.parametrize("m", [2.5, True, "4", 0, -1])
 def test_discretized_rate_rejects_a_bad_m(dist, m):
     g, _ = line_endpoint(0.7)
