@@ -24,6 +24,7 @@ import dataclasses
 import datetime
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -78,22 +79,56 @@ def _fmt(x) -> str:
     return str(x)
 
 
+CSV_BLOCK_ROWS = 4096     # rows formatted by one %-template
+
+
+def _column_format(values) -> str | None:
+    """The %-format that writes every value as _fmt does, or None if mixed."""
+    types = set(map(type, values))
+    if all(issubclass(t, float) for t in types):
+        return "%.17g"
+    if types <= {int, bool}:
+        return "%d"
+    return None
+
+
+def _csv_blocks(header: list[str], rows):
+    """The CSV text: the header line, then blocks of up to CSV_BLOCK_ROWS rows.
+
+    A block's columns of floats, or of ints and bools, are formatted by one
+    %-template; a column of other or mixed types goes through _fmt, and so
+    does every row of a block whose rows differ in length.
+    """
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+        if len(set(map(len, block))) > 1:
+            yield "".join(",".join(map(_fmt, row)) + "\n" for row in block)
+            continue
+        columns = list(zip(*block))
+        formats = [_column_format(col) for col in columns]
+        values = itertools.chain.from_iterable(block)
+        if None in formats:
+            columns = [col if f else [_fmt(v) for v in col] for col, f in zip(columns, formats)]
+            formats = [f or "%s" for f in formats]
+            values = itertools.chain.from_iterable(zip(*columns))
+        template = ",".join(formats) + "\n"
+        yield (template * len(block)) % tuple(values)
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
     """Comma-separated, '.' decimal, LF endings, floats at 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_blocks(header, rows))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temp file and a rename; an unwritable path is a usage error."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write text chunks through a temp file and a rename; an unwritable path is a usage error."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".liewalk-")
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -135,7 +170,7 @@ def write_json(path: str | None, config: dict, results: dict) -> str:
     }
     text = json.dumps(payload, sort_keys=True, indent=2, default=_np_default) + "\n"
     if path:
-        _atomic_write(path, text)
+        _atomic_write(path, [text])
     return text
 
 

@@ -74,7 +74,9 @@ class IncrementDistribution:
         Uniform draws come in flat chunks of SAMPLE_CHUNK, from the same
         stream as one rng.random(size) call; each index counts the
         cumulative weights at or below its draw, which is
-        searchsorted(cum, u, side="right") without the search.  Override
+        searchsorted(cum, u, side="right") without the search.  The first
+        comparison writes the chunk's indices itself (through a bool view of
+        8-bit indices), and each further one adds its mask.  Override
         weights must have one finite, nonnegative entry per atom and sum to
         one within 1e-12.
         """
@@ -89,17 +91,20 @@ class IncrementDistribution:
                 raise InvalidArgumentError("weights must be finite and nonnegative")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise InvalidArgumentError(f"weights sum to {w.sum()!r}, not 1")
-        # the last cumulative weight is 1 and u < 1, so it is never counted
-        cum = np.cumsum(w)[:-1]
-        out = np.zeros(size, dtype=np.min_scalar_type(self.n_atoms - 1))
+        # the last cumulative weight is 1 and u < 1, so it is never counted;
+        # a point mass compares with inf, which no draw reaches
+        cum = np.cumsum(w)[:-1] if self.n_atoms > 1 else np.array([np.inf])
+        out = np.empty(size, dtype=np.min_scalar_type(self.n_atoms - 1))
         flat = out.reshape(-1)
+        first = flat.view(bool) if flat.dtype == np.uint8 else flat
         u = np.empty(min(SAMPLE_CHUNK, flat.size))
         below = np.empty(u.size, dtype=bool)
         for start in range(0, flat.size, SAMPLE_CHUNK):
             part = flat[start:start + SAMPLE_CHUNK]
             draws, mask = u[:part.size], below[:part.size]
             rng.random(out=draws)
-            for c in cum:
+            np.greater_equal(draws, cum[0], out=first[start:start + SAMPLE_CHUNK])
+            for c in cum[1:]:
                 np.greater_equal(draws, c, out=mask)
                 part += mask
         return out

@@ -98,6 +98,18 @@ def _event_distances(dist, n, event, idx):
     return np.where(ok, _frobenius_norms(logs), np.inf)
 
 
+def _atom_counts(idx: np.ndarray, k: int) -> np.ndarray:
+    """How often each of k atoms occurs in each row of idx, as (samples, k) int64.
+
+    For two atoms the count of atom 1 is a popcount of the packed rows,
+    whose zero padding counts nothing, and atom 0 has the rest.
+    """
+    if k == 2:
+        ones = np.bitwise_count(np.packbits(idx, axis=1)).sum(axis=1, dtype=np.int64)
+        return np.stack([idx.shape[1] - ones, ones], axis=1)
+    return np.stack([(idx == a).sum(axis=1) for a in range(k)], axis=1)
+
+
 def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
                      samples: int, tilt: AlgebraVector | None, seed: int,
                      shards: int = 1) -> EstimateResult:
@@ -141,8 +153,7 @@ def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
         hits = dists <= event.radius
         hit_count += int(hits.sum())
         if tilt is not None:
-            counts = np.stack([(idx == a).sum(axis=1) for a in range(dist.n_atoms)],
-                              axis=1)
+            counts = _atom_counts(idx, dist.n_atoms)
             logw = (-(counts @ scores) + n * lam_mgf)[hits]
             log_wsum = np.logaddexp(log_wsum, logsumexp(logw))
             log_wsq = np.logaddexp(log_wsq, logsumexp(2.0 * logw))

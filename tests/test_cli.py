@@ -87,6 +87,20 @@ def test_simulate_csv_matches_looped_rows(tmp_path):
     assert csv.read_bytes() == looped.read_bytes()
 
 
+def test_write_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
+    # three rows per block: the first block has a float and an int column,
+    # the second mixes ints, floats, numpy scalars and None in its columns,
+    # the third has rows of different lengths
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+    rows = [(1, 0.1, True), (2, float("nan"), False), (3, -0.0, 1),
+            (4.0, 10**20, np.float64(1 / 3)), (np.int64(5), None, np.True_), (6, 5e-324, "x"),
+            (7,), (8, float("inf"), 2), ()]
+    want = "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in [("a", "b", "c"), *rows])
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b", "c"], iter(rows))
+    assert path.read_bytes() == want.encode()
+
+
 def test_legendre_point_and_grid(tmp_path):
     out = tmp_path / "leg.json"
     code = main(["legendre", "--alpha", "1", "--beta", "1", "--x1", "0.25",

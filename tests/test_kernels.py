@@ -162,6 +162,18 @@ def test_indexed_products_2x2_carries_left_row_sums(step_mats, rng):
     np.testing.assert_allclose(got.sum(axis=-1) - 1.0, 1e-10, rtol=1e-4)
 
 
+@pytest.mark.parametrize("n_steps", [20, 165])
+def test_indexed_products_2x2_center_within_stated_tolerance(step_mats, rng, n_steps):
+    # left is applied entry by entry, not by a 2x2 matmul: two roundings of
+    # products up to |left| <= 2.4 and one of their sum stay within 4.5e-16
+    idx = rng.integers(0, 2, size=(500, n_steps)).astype(np.uint8)
+    prod = _kernels._stoch2_products(step_mats[:2], idx)
+    for c in (0.2, 0.5, 0.8):
+        left = np.linalg.inv(_expm(np.array([[-c, c], [1 - c, c - 1.0]])))
+        np.testing.assert_allclose(indexed_products(step_mats[:2], idx, left), left @ prod,
+                                   rtol=0, atol=4.5e-16)
+
+
 def test_indexed_products_2x2_off_group_raises(step_mats):
     bad = step_mats.copy()
     bad[1, 0, 1] += 1e-8

@@ -17,7 +17,7 @@ from liewalk import (
 )
 from liewalk._kernels import indexed_products, stoch2_log_norms
 from liewalk.lie import GroupElement, _expm
-from liewalk.mc import _event_distances
+from liewalk.mc import _atom_counts, _event_distances
 from logm_reference import logm as reference_logm
 
 
@@ -275,9 +275,27 @@ def test_sample_indices_tilted_match_searchsorted(dist):
     got = dist.sample_indices(np.random.default_rng(4), (300, 401), weights=w)
     want = searchsorted_indices(dist, np.random.default_rng(4), (300, 401), weights=w)
     np.testing.assert_array_equal(got, want)
-    # a weight underflowed to zero by a tilt never draws its atom
-    got = dist.sample_indices(np.random.default_rng(4), 1000, weights=[0.0, 1.0])
-    assert (got == 1).all()
+
+
+@pytest.mark.parametrize("weights, atom", [
+    ([0.0, 1.0], 1),        # a weight underflowed to zero by a tilt never draws its atom
+    ([1.0, 0.0], 0),        # the cumulative weight reaches 1 at atom 0, and u < 1
+])
+def test_sample_indices_zero_weight_atom_is_never_drawn(dist, weights, atom):
+    got = dist.sample_indices(np.random.default_rng(4), 1000, weights=weights)
+    assert (got == atom).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_atom_counts_match_comparisons(k):
+    # two atoms count by popcount over packed rows, whose last byte is
+    # zero-padded whenever n mod 8 != 0
+    rng = np.random.default_rng(12)
+    for n in [*range(1, 71), 20_000]:
+        idx = rng.integers(0, k, size=(40, n)).astype(np.uint8)
+        want = np.stack([(idx == a).sum(axis=1) for a in range(k)], axis=1)
+        got = _atom_counts(idx, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
 @pytest.mark.parametrize("weights", [

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import liewalk
 import liewalk.cli  # a traced module that the package does not import
-from liewalk import AlgebraVector
+from liewalk import AlgebraVector, BallEvent, exp_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -83,3 +83,21 @@ def test_traced_exponential_is_one_call_per_exp_matrix():
     finally:
         tracer.restore()
     assert tracer.calls["lie.expm"] == 2
+
+
+def test_traced_rate_curve_counts_draws_products_and_hits(dist):
+    # the estimator draws through IncrementDistribution.sample_indices and
+    # multiplies through _kernels.indexed_products inside mc._event_distances
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    event = BallEvent(exp_matrix(dist.mean), 0.1)
+    tracing.install(tracer)
+    try:
+        liewalk.empirical_rate_curve(dist, event, [20, 37], 500, seed=3, shards=2)
+    finally:
+        tracer.restore()
+    assert tracer.counts["distributions.sample_indices.draws"] == 500 * (20 + 37)
+    assert tracer.counts["kernels.indexed_products.products"] == 500 * (20 + 37)
+    assert tracer.calls["mc.event_distances"] == tracer.calls["kernels.indexed_products"] == 4
+    assert tracer.calls["mc.tilted_estimator"] == 2
+    assert tracer.counts["mc.plain.n20.hits"] > 0 and tracer.counts["mc.plain.n37.hits"] > 0
