@@ -68,14 +68,11 @@ from .mc import (
     wilson_interval,
 )
 from .rate import (
-    ClosedFormPath2,
     DiscretizedRate,
     RateReport,
     SampledPath,
-    closed_form_rate_s2,
     discretized_rate,
     logarithmic_derivative,
-    optimal_path_s2,
     rate_along_path,
     rate_report,
     refinement_ladder,

@@ -52,7 +52,7 @@ DESCRIPTION = """Experiment runner: one reproducible configuration format, six s
 
     simulate         walk simulation + replacement certificate
     legendre         conjugate values at points or along the model grid
-    rate             discretized/quadrature/closed-form rate report
+    rate             discretized rate ladder at one endpoint
     mc-estimate      empirical rate curve with optional tilting
     verify-bounds    deviation-bound certificate suite
     exp-log-selftest validation of the exp/log neighborhood constants
@@ -321,7 +321,7 @@ def _cmd_rate(cfg):
     alpha = float(cfg["alpha"])
     dist = example_model(alpha, alpha).distribution()
     g = _read(load_group_matrix, cfg["endpoint"])
-    report = rate_report(dist, g, _int_list(cfg["m"]), alpha=alpha)
+    report = rate_report(dist, g, _int_list(cfg["m"]))
     rows = [(m, report.discretized[m], report.constraint_residuals[m]) for m in report.m_values]
     return report.to_jsonable(), lambda: (["m", "value", "constraint_residual"], rows), True
 
@@ -394,7 +394,7 @@ COMMANDS = {
         "x2": (float, ""), "x": (str, "", "JSON matrix file"),
         "grid": (int, "", "number of constraint-line points"),
     }),
-    "rate": (_cmd_rate, "rate report for an endpoint (equal-parameter model)", {
+    "rate": (_cmd_rate, "discretized rate ladder for an endpoint (equal-parameter model)", {
         "alpha": (float, None), "endpoint": (str, None, "JSON matrix file"),
         "m": (str, "8,16,32", "comma-separated segment counts"), "seed": (int, 0),
     }),

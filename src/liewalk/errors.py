@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all liewalk modules."""
+"""Exception hierarchy shared by all liewalk modules, and the count check
+that raises InvalidArgumentError."""
+
+import operator
 
 
 class LieWalkError(Exception):
@@ -47,3 +50,19 @@ class NonConvergenceError(LieWalkError):
 
 class UsageError(LieWalkError):
     """Invalid CLI usage or configuration."""
+
+
+def _positive_int(name: str, n, bound: tuple[str, int] | None = None) -> int:
+    """n as an int: any integer type but bool, at least 1, and at most high
+    when bound = (label, high) is given; an integer outside [1, high] is
+    reported against [1, label]."""
+    try:
+        value = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        value = None
+    if value is not None and bound is not None and not 1 <= value <= bound[1]:
+        raise InvalidArgumentError(
+            f"{name} must lie in [1, {bound[0]}] = [1, {bound[1]}], got {value}")
+    if value is None or value < 1:
+        raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    return value

@@ -114,9 +114,6 @@ class GroupElement:
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.entries))
-
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.entries @ other.entries)
 

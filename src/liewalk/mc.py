@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import indexed_products, stoch2_log_norms
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, OutOfDomainError
+from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
 from .legendre import legendre, log_mgf
 from .lie import (
     AlgebraVector,
@@ -58,6 +58,8 @@ def wilson_interval(hits: int, n: int):
     """95% Wilson score interval; zero hits give the one-sided upper bound."""
     if n <= 0:
         raise InvalidArgumentError("sample count must be positive")
+    if not 0 <= hits <= n:
+        raise InvalidArgumentError(f"hits must lie in [0, n] = [0, {n}], got {hits}")
     z = Z_ONE_SIDED if hits == 0 else Z_TWO_SIDED
     phat = hits / n
     denom = 1.0 + z * z / n
@@ -118,12 +120,9 @@ def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
     tilt=None (or the zero matrix) is the plain estimator: weights are
     identically one and the interval is the Wilson score interval.
     """
-    if samples < 1:
-        raise InvalidArgumentError("samples must be >= 1")
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    if shards < 1 or shards > samples:
-        raise InvalidArgumentError("shards must lie in [1, samples]")
+    samples = _positive_int("samples", samples)
+    n = _positive_int("n", n)
+    shards = _positive_int("shards", shards, ("samples", samples))
     if tilt is not None and tilt.norm == 0.0:
         tilt = None
 
@@ -235,7 +234,7 @@ def empirical_rate_curve(dist: IncrementDistribution, event: BallEvent, ns,
     or an explicit AlgebraVector.  Each n uses the child stream
     SeedSequence([seed, n]), so curves are deterministic and extendable.
     """
-    ns = [int(n) for n in ns]
+    ns = [_positive_int("n", n) for n in ns]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArgumentError("ns must be strictly increasing")
     if tilt_policy == "none":

@@ -13,33 +13,20 @@ Matrices, 10.6).  Segments are parameterized in the support's hull chart
 (legendre.SupportGeometry), where the conjugate has a relative interior:
 the chart projects the seed and start segments, embeds the iterates and
 supplies the hull's facets, which bound every segment.
-
-The two-state closed forms (the constant-split path for equal rates, the
-published final rate expression) are provided for side-by-side reporting.
-The constant-split path is feasible, so its cost is an upper bound for the
-variational minimum; it is not the minimizer unless M12 = M21 (c = 1/2).
-A finite-cost path has velocity p(t) A + (1 - p(t)) B and reaches
-M12 = int_0^1 alpha e^{-alpha (1 - t)} p(t) dt, a linear constraint on p
-under a convex cost int h(p) dt with h(p) = p log p + (1 - p) log(1 - p)
-+ log 2.  The minimizer therefore solves the Euler-Lagrange equation
-h'(p(t)) = lambda alpha e^{-alpha (1 - t)}, i.e. p(t) is the logistic
-function of lambda alpha e^{-alpha (1 - t)}, constant only at lambda = 0.
-The discretized minimum lies between that minimizer's cost and the
-constant-split cost (acceptance criterion 5 checks it against the former
-at m = 32).  Reports carry the constant-split number.  The paper text at hand (abstract only) does not
-settle whether the paper calls the constant split optimal, nor why its
-displayed closed form goes negative.
 """
 
-import operator
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ._kernels import partial_products
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, OutOfDomainError, SingularMatrixError
+from .errors import (
+    InvalidArgumentError,
+    OutOfDomainError,
+    SingularMatrixError,
+    _positive_int,
+)
 from .legendre import (
     DOMAIN_TOL,
     SupportGeometry,
@@ -64,37 +51,6 @@ FACET_MARGIN = 1e-7    # how far the solver keeps segments inside the hull's fac
 
 # ---------------------------------------------------------------------------
 # path representations
-
-@dataclass(frozen=True, eq=False)
-class ClosedFormPath2:
-    """Two-state group path [[1 - g1, g1], [g2, 1 - g2]] with analytic derivatives;
-    each callable takes an array of times (a scalar return stands for every time)."""
-
-    g1: Callable[[np.ndarray], np.ndarray]
-    g2: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-
-    dim = 2
-
-    def point(self, t: float) -> np.ndarray:
-        a, b = self.g1(t), self.g2(t)
-        return np.array([[1.0 - a, a], [b, 1.0 - b]])
-
-    def log_derivative(self, t: float) -> AlgebraVector:
-        return logarithmic_derivative(self, t)
-
-    def _velocities(self, ts: np.ndarray) -> np.ndarray:
-        """gamma^-1 gamma' at every t of ts: the (n, 2, 2) stack, NaN on the
-        rows where the path leaves the invertible region (1 - g1 - g2 <= 0)."""
-        a, b, da, db = (np.broadcast_to(f(ts), ts.shape)
-                        for f in (self.g1, self.g2, self.d1, self.d2))
-        den = 1.0 - a - b
-        den = np.where(den > 0, den, np.nan)
-        u1 = ((1.0 - b) * da + a * db) / den
-        u2 = ((1.0 - a) * db + b * da) / den
-        return np.stack([-u1, u1, u2, -u2], axis=-1).reshape(-1, 2, 2)
-
 
 class SampledPath:
     """Path given by samples (t_j, group matrix), log-linearly interpolated.
@@ -159,9 +115,11 @@ class SampledPath:
 def logarithmic_derivative(path, t: float) -> AlgebraVector:
     """gamma(t)^-1 gamma'(t) as an algebra element: row 0 of the velocity stack.
 
-    Closed-form paths use their analytic derivative; sampled paths are exact
-    too, their segment log over the segment's length.  At a sample time
-    inside (0, 1) a sampled path takes the segment that starts there.
+    A path is any object whose _velocities(ts) returns the (n, d, d) stack of
+    its exact velocities, NaN on the rows where it leaves the invertible
+    region; a SampledPath's is its segment log over the segment's length.  At
+    a sample time inside (0, 1) a sampled path takes the segment that starts
+    there.
     """
     velocity = path._velocities(np.array([t], dtype=np.float64))[0]
     if np.isnan(velocity).any():
@@ -169,23 +127,12 @@ def logarithmic_derivative(path, t: float) -> AlgebraVector:
     return AlgebraVector(velocity)
 
 
-def _positive_int(name: str, n) -> int:
-    """n as an int: any integer type but bool, and at least 1."""
-    try:
-        value = operator.index(n)
-    except TypeError:
-        value = 0
-    if isinstance(n, bool) or value < 1:
-        raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
-    return value
-
-
 def rate_along_path(dist: IncrementDistribution, path,
                     quad_nodes: int = GL_NODES_DEFAULT,
                     subintervals: int = GL_SUBINTERVALS_DEFAULT) -> float:
     """Composite Gauss-Legendre quadrature of Lstar along the path.
 
-    The node velocities are one exact stack (see the path classes).  Nodes on
+    The node velocities are one exact stack (see logarithmic_derivative).  Nodes on
     the support's affine hull and more than DOMAIN_TOL inside every facet go
     through one lstar_interior_stack.  The rest, and inside nodes whose Newton
     value is not finite, go in node order: a NaN velocity raises, any other
@@ -214,66 +161,6 @@ def rate_along_path(dist: IncrementDistribution, path,
     for term in (0.5 * width * np.tile(weights, subintervals) * vals).tolist():
         total += term  # node by node, rounded as the per-node loop rounded it
     return total
-
-
-# ---------------------------------------------------------------------------
-# two-state closed forms
-
-def optimal_path_s2(alpha: float, m_end: GroupElement) -> ClosedFormPath2:
-    """Constant-split path with gamma_12(t) = (M12 / (1 - e^-a)) (1 - e^-at).
-
-    Requires M12 + M21 = 1 - e^-alpha within 1e-9; its velocity splits the
-    off-diagonal transfer in the fixed ratio M12 : M21 while the total obeys
-    psi' = alpha (1 - psi).
-
-    Despite the name this is not the cost minimizer unless M12 = M21: its
-    cost is an upper bound for the rate.  The minimizer's velocity
-    p(t) A + (1 - p(t)) B has a time-varying split solving the
-    Euler-Lagrange equation log(p / (1 - p)) = lambda alpha e^{-alpha (1 - t)}
-    (see the module docstring).
-    """
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be positive")
-    if m_end.dim != 2:
-        raise InvalidArgumentError("endpoint must be 2x2")
-    m12, m21 = float(m_end.entries[0, 1]), float(m_end.entries[1, 0])
-    s = 1.0 - np.exp(-alpha)
-    if abs(m12 + m21 - s) > 1e-9:
-        raise InvalidArgumentError(
-            f"infeasible endpoint: M12 + M21 = {m12 + m21:.12f} != 1 - e^-alpha = {s:.12f}")
-    c1, c2 = m12 / s, m21 / s
-
-    def psi(t): return 1.0 - np.exp(-alpha * t)
-    def dpsi(t): return alpha * np.exp(-alpha * t)
-
-    return ClosedFormPath2(
-        g1=lambda t: c1 * psi(t), g2=lambda t: c2 * psi(t),
-        d1=lambda t: c1 * dpsi(t), d2=lambda t: c2 * dpsi(t))
-
-
-def closed_form_rate_s2(m_end: GroupElement, alpha: float) -> float:
-    """Published final rate expression for the equal-parameter two-state model.
-
-    Evaluated verbatim (alpha^2 prefactors and all) with the 0 log 0 = 0
-    convention; +inf off the constraint set.  Known to disagree with both
-    the quadrature along the constant-split path and the discretized
-    minimum; reports show all three side by side.
-    """
-    if alpha <= 0:
-        raise InvalidArgumentError("alpha must be positive")
-    m12, m21 = float(m_end.entries[0, 1]), float(m_end.entries[1, 0])
-    s = 1.0 - np.exp(-alpha)
-    if abs(m12 + m21 - s) > 1e-9:
-        return float("inf")
-    if m12 < -1e-12 or m21 < -1e-12:
-        return float("inf")
-    m12, m21 = max(m12, 0.0), max(m21, 0.0)
-
-    def xlog(m):
-        return 0.0 if m == 0.0 else alpha ** 2 * m * np.log(alpha * m / s)
-
-    return float(xlog(m12) + xlog(m21) + (1.0 - alpha) * np.exp(-alpha)
-                 - np.log(0.5 * alpha ** 2) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,86 +366,46 @@ def refinement_ladder(dist: IncrementDistribution, g: GroupElement,
 
 @dataclass
 class RateReport:
-    """Discretized ladder beside the two-state reference numbers.
+    """The discretized ladder at one endpoint.
 
-    quadrature_optimal_path holds the quadrature along the constant-split
-    path (an upper bound on the rate, not its minimizer off c = 1/2); the
-    key keeps its name for existing readers.  diagnostics["reasons"] names,
-    per m, why a value is +inf: "determinant" when the solver did not run,
-    "slsqp: <message>" when its final iterate was not accepted.
+    minimizer_mixture holds the segments of the largest m's minimizer, None
+    where its value is +inf.  diagnostics["reasons"] names, per m, why a
+    value is +inf: "determinant" when the solver did not run, "slsqp:
+    <message>" when its final iterate was not accepted.
     diagnostics["iterations"] and ["status"] carry SLSQP's iteration count
     and exit status per m.
     """
 
     endpoint: list
-    alpha: float | None
     m_values: list[int]
     discretized: dict[int, float]
     constraint_residuals: dict[int, float]
-    quadrature_optimal_path: float | None
-    closed_form_paper: float | None
     minimizer_mixture: list | None
     diagnostics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         return {
             "endpoint": self.endpoint,
-            "alpha": self.alpha,
             "m_values": self.m_values,
             "discretized": {str(k): v for k, v in self.discretized.items()},
             "constraint_residuals": {str(k): v for k, v in self.constraint_residuals.items()},
-            "quadrature_optimal_path": self.quadrature_optimal_path,
-            "closed_form_paper": self.closed_form_paper,
             "minimizer_mixture": self.minimizer_mixture,
             "diagnostics": self.diagnostics,
         }
 
 
-def rate_report(dist: IncrementDistribution, g: GroupElement, ms,
-                alpha: float | None = None) -> RateReport:
-    """Discretized ladder plus, when alpha is given and the endpoint is on the
-    constraint set, the quadrature along the constant-split path and the
-    published closed form."""
+def rate_report(dist: IncrementDistribution, g: GroupElement, ms) -> RateReport:
+    """refinement_ladder over ms, with the largest m's minimizer and each
+    level's solver diagnostics."""
     ladder = refinement_ladder(dist, g, ms)
-    quad = None
-    paper = None
-    notes = {}
-    if alpha is not None:
-        try:
-            path = optimal_path_s2(alpha, g)
-            quad = rate_along_path(dist, path)
-        except InvalidArgumentError as exc:
-            notes["optimal_path"] = str(exc)
-        paper = closed_form_rate_s2(g, alpha)
-        if quad is not None and np.isfinite(quad) and np.isfinite(paper):
-            if abs(paper - quad) > 0.01 * max(1.0, abs(quad)):
-                notes["closed_form_discrepancy"] = (
-                    f"published closed form {paper:.6f} differs from the "
-                    f"path quadrature {quad:.6f}; both reported")
-        largest = max(ladder)
-        disc = ladder[largest].value
-        if quad is not None and np.isfinite(quad) and np.isfinite(disc):
-            if disc < quad - 0.01 * max(1.0, abs(quad)):
-                notes["variational_gap"] = (
-                    f"discretized minimum {disc:.6f} lies below the "
-                    f"constant-split path cost (an upper bound) {quad:.6f}: "
-                    f"ordered exponentials reach the endpoint with cheaper mixes")
-    largest = max(ladder)
-    segs = ladder[largest].segments
-    mixture = None
-    if segs is not None:
-        mixture = [s.entries.tolist() for s in segs]
+    segs = ladder[max(ladder)].segments
     return RateReport(
         endpoint=g.entries.tolist(),
-        alpha=alpha,
         m_values=sorted(ladder),
         discretized={m: ladder[m].value for m in ladder},
         constraint_residuals={m: ladder[m].constraint_residual for m in ladder},
-        quadrature_optimal_path=quad,
-        closed_form_paper=paper,
-        minimizer_mixture=mixture,
-        diagnostics={"notes": notes,
-                     "iterations": {m: ladder[m].diagnostics.get("iterations")
+        minimizer_mixture=None if segs is None else [s.entries.tolist() for s in segs],
+        diagnostics={"iterations": {m: ladder[m].diagnostics.get("iterations")
                                     for m in ladder},
                      "status": {m: ladder[m].diagnostics.get("status") for m in ladder},
                      "reasons": {m: ladder[m].diagnostics.get("reason")

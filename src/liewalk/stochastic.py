@@ -108,9 +108,6 @@ class ExampleModel:
     def mean_increment(self) -> AlgebraVector:
         return 0.5 * (self.atom_a + self.atom_b)
 
-    def config(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "dim": 2}
-
 
 def example_model(alpha: float, beta: float) -> ExampleModel:
     return ExampleModel(alpha=float(alpha), beta=float(beta))

@@ -23,7 +23,7 @@ import numpy as np
 from ._kernels import partial_products
 from .bch import BoundCertificate, c_constant
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, OutOfDomainError
+from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
 from .lie import (
     AlgebraVector,
     GroupElement,
@@ -95,8 +95,7 @@ def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
 
 def simulate_walk(dist: IncrementDistribution, n: int, seed: int) -> WalkTrajectory:
     """Simulate the rescaled walk; deterministic given (dist, n, seed)."""
-    if n < 1:
-        raise InvalidArgumentError("n must be a positive integer")
+    n = _positive_int("n", n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = dist.sample_indices(rng, n)
     points = partial_products(_expm(dist.atom_stack() / n)[idx])
@@ -130,9 +129,7 @@ class SegmentDecomposition:
 
 
 def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
-    if not 1 <= m <= traj.n:
-        raise InvalidArgumentError(
-            f"segment count m must lie in [1, n] = [1, {traj.n}], got {m}")
+    m = _positive_int("segment count m", m, ("n", traj.n))
     block = traj.n // m
     bounds = tuple(l * block for l in range(m)) + (traj.n,)
     pts = traj.points[list(bounds)]
@@ -183,9 +180,7 @@ def replacement_deviation(traj: WalkTrajectory, m: int) -> ReplacementCertificat
     kappa the measured norm-to-adjoint constant of the support.
     """
     n = traj.n
-    if not 1 <= m <= n:
-        raise InvalidArgumentError(
-            f"segment count m must lie in [1, n] = [1, {n}], got {m}")
+    m = _positive_int("segment count m", m, ("n", n))
     k_max = n // m
     b = traj.dist.support_bound
     kappa = kappa_support(traj.dist)

@@ -12,11 +12,12 @@ import importlib
 
 import numpy as np
 
-from liewalk import ClosedFormPath2, OutOfDomainError
+from liewalk import OutOfDomainError
 from liewalk.legendre import DIVERGENCE_NORM, GRAD_TOL, legendre
 from liewalk.lie import AlgebraVector
 
 from logm_reference import logm
+from two_state_paths import ClosedFormPath2
 
 # the module, which the package's legendre() function shadows as an attribute
 legendre_module = importlib.import_module("liewalk.legendre")

@@ -5,7 +5,7 @@ run shows one PASSED/FAILED line per criterion.
 
 Criterion 5 cross-checks the discretized minimum at m = 32 against the path
 quadrature of the same rate along the path that minimizes the cost, within
-1% (floor 1e-4).  The constant-split curve `optimal_path_s2` is not that
+1% (floor 1e-4).  The constant-split curve (two_state_paths.py) is not that
 path away from c = 1/2: its cost is only an upper bound, and the test
 asserts the order minimizing path <= discretized <= constant split.  The
 discretized minimizer is also re-read as a sampled path whose quadrature
@@ -16,11 +16,16 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import liewalk as lw
 from liewalk.lie import _expm
 from logm_reference import logm as reference_logm
+from two_state_paths import (
+    constant_split_path,
+    line_endpoint,
+    minimizing_path_s2,
+    theta_split_path,
+)
 
 ALPHA = 1.0
 
@@ -33,18 +38,6 @@ def amodel():
 @pytest.fixture(scope="module")
 def adist(amodel):
     return amodel.distribution()
-
-
-def line_endpoint(c):
-    u = np.array([[-c * ALPHA, c * ALPHA], [(1 - c) * ALPHA, -(1 - c) * ALPHA]])
-    return lw.GroupElement(_expm(u)), lw.AlgebraVector(u)
-
-
-def constant_split_cost(c):
-    def xlx(v):
-        return 0.0 if v == 0.0 else v * np.log(v)
-
-    return xlx(c) + xlx(1 - c) + np.log(2.0)
 
 
 def report(num, passed, detail):
@@ -142,52 +135,6 @@ def test_criterion_4_replacement_bound(adist):
     assert elapsed < 120.0
 
 
-def minimizing_path_s2(alpha, g):
-    """The cost-minimizing path from I to g for the equal-rate two-state model.
-
-    A finite-cost path has velocity p(t) A + (1 - p(t)) B and reaches
-    M12 = int_0^1 alpha e^{-alpha (1 - t)} p(t) dt.  The cost int h(p) dt,
-    h(p) = p log p + (1 - p) log(1 - p) + log 2, is convex and the constraint
-    linear, so the minimizer solves h'(p(t)) = lambda alpha e^{-alpha (1 - t)}:
-    p = sigmoid(v) with v(t) = lambda alpha e^{-alpha (1 - t)}.  With
-    sp(v) = log(1 + e^v) the flow integrates in closed form, and lambda is the
-    root of g1(1) = M12, which is increasing in lambda and has the sign of
-    M12 - M21.  The bracket covers 1e-3 <= |lambda| <= 1e2; at M12 = M21 the
-    root is lambda = 0 and the constant split is already the minimizer.
-    """
-    m12, m21 = float(g.entries[0, 1]), float(g.entries[1, 0])
-
-    def sp(v):
-        return np.logaddexp(0.0, v)
-
-    decay = np.exp(-alpha)
-    lam = brentq(lambda lam: (sp(lam * alpha) - sp(lam * alpha * decay))
-                 / (lam * alpha) - m12,
-                 *sorted(np.sign(m12 - m21) * np.array([1e-3, 1e2])), xtol=1e-15)
-
-    def v(t):
-        return lam * alpha * np.exp(-alpha * (1 - t))
-
-    def scale(t):
-        return np.exp(alpha * (1 - t)) / (lam * alpha)
-
-    v0 = v(0.0)
-
-    def g1(t):
-        return scale(t) * (sp(v(t)) - sp(v0))
-
-    def g2(t):
-        return scale(t) * (sp(-v0) - sp(-v(t)))
-
-    def p(t):
-        return 1.0 / (1.0 + np.exp(-v(t)))
-
-    return lw.ClosedFormPath2(
-        g1=g1, g2=g2,
-        d1=lambda t: alpha * (p(t) - g1(t)),
-        d2=lambda t: alpha * (1 - p(t) - g2(t)))
-
-
 def sampled_minimizer(segments):
     """Piecewise one-parameter path through the partial products of the
     discretized minimizer, one sample per segment boundary."""
@@ -211,9 +158,8 @@ def test_criterion_5_rate_cross_validation(adist):
         path = minimizing_path_s2(ALPHA, g)
         reach = float(np.abs(path.point(1.0) - g.entries).max())
         quad = lw.rate_along_path(adist, path)
-        const = lw.rate_along_path(adist, lw.optimal_path_s2(ALPHA, g))
+        const = lw.rate_along_path(adist, constant_split_path(ALPHA, g))
         sampled = lw.rate_along_path(adist, sampled_minimizer(best.segments))
-        paper = lw.closed_form_rate_s2(g, ALPHA)
         gap = abs(disc - quad)
         tol = max(0.01 * abs(quad), 1e-4)
         ordered = quad <= disc + 1e-9 <= const + 1e-9
@@ -222,7 +168,7 @@ def test_criterion_5_rate_cross_validation(adist):
               and best.constraint_residual <= 1e-9)
         rows.append(f"  c={c:.4f}: minimizing_path={quad:.7f} "
                     f"discretized(32)={disc:.7f} constant_split={const:.7f} "
-                    f"paper_closed_form={paper:.6f} gap={gap:.2e} tol={tol:.2e} "
+                    f"gap={gap:.2e} tol={tol:.2e} "
                     f"reach={reach:.1e} sampled_replay={replay:.1e} "
                     f"residual={best.constraint_residual:.1e} "
                     f"{'ok' if ok else 'FAILS'}")
@@ -245,7 +191,7 @@ def test_criterion_6_rate_zero_at_mean(amodel, adist):
     t0 = time.time()
     g = lw.exp_matrix(amodel.mean_increment)
     vals = {m: lw.discretized_rate(adist, g, m).value for m in (4, 8, 16)}
-    quad = lw.rate_along_path(adist, lw.optimal_path_s2(ALPHA, g))
+    quad = lw.rate_along_path(adist, constant_split_path(ALPHA, g))
     elapsed = time.time() - t0
     ok = all(v <= 1e-8 for v in vals.values()) and quad <= 1e-10 and elapsed < 60.0
     report(6, ok, f"discretized {vals}, quadrature {quad:.2e}, {elapsed:.1f}s")
@@ -267,7 +213,7 @@ def test_criterion_7_ldp_trend(amodel, adist):
 
     c = 0.8
     g, _ = line_endpoint(c)
-    r_star = lw.rate_along_path(adist, lw.optimal_path_s2(ALPHA, g))
+    r_star = lw.rate_along_path(adist, constant_split_path(ALPHA, g))
     tilted = lw.empirical_rate_curve(adist, lw.BallEvent(g, 0.03), [160],
                                      100_000, seed=2026, tilt_policy="auto")
     trate = tilted.rows[0].rate
@@ -296,22 +242,7 @@ def test_criterion_8_refinement_monotone(adist):
     assert elapsed < 120.0
 
 
-def _theta_path():
-    alpha, amp, omega = 1.0, 0.3, 2 * np.pi
-
-    def trig_integral(t):
-        return (omega - np.exp(-alpha * t) * (alpha * np.sin(omega * t)
-                                              + omega * np.cos(omega * t))) \
-            / (alpha ** 2 + omega ** 2)
-
-    return lw.ClosedFormPath2(
-        g1=lambda t: 0.5 * (1 - np.exp(-alpha * t)) + amp * alpha * trig_integral(t),
-        g2=lambda t: 0.5 * (1 - np.exp(-alpha * t)) - amp * alpha * trig_integral(t),
-        d1=lambda t: (0.5 + amp * np.sin(omega * t)) * alpha * np.exp(-alpha * t),
-        d2=lambda t: (0.5 - amp * np.sin(omega * t)) * alpha * np.exp(-alpha * t))
-
-
-def _segment_mismatch(path, m):
+def segment_mismatch(path, m):
     nodes, weights = np.polynomial.legendre.leggauss(24)
     worst = 0.0
     for i in range(1, m + 1):
@@ -333,13 +264,13 @@ def test_criterion_9_fundamental_theorem_decay(adist):
     # so its mismatch is identically zero; machine-noise values below the
     # floor certify that degenerate case rather than measuring decay
     g, _ = line_endpoint(0.8)
-    const_path = lw.optimal_path_s2(ALPHA, g)
-    const_scaled = [m * _segment_mismatch(const_path, m) for m in ms]
+    const_path = constant_split_path(ALPHA, g)
+    const_scaled = [m * segment_mismatch(const_path, m) for m in ms]
     const_ok = all(b <= 1.1 * a for a, b in zip(const_scaled, const_scaled[1:])) \
         or max(const_scaled) < 1e-12
 
     # genuine decay on a path with varying velocity split
-    osc_scaled = [m * _segment_mismatch(_theta_path(), m) for m in ms]
+    osc_scaled = [m * segment_mismatch(theta_split_path(), m) for m in ms]
     osc_ok = all(b <= 1.1 * a for a, b in zip(osc_scaled, osc_scaled[1:]))
 
     elapsed = time.time() - t0

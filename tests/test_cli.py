@@ -139,11 +139,15 @@ def test_rate_report_cli(tmp_path, endpoint_file):
     code = main(["rate", "--alpha", "1", "--endpoint", endpoint_file,
                  "--m", "2,4", "--out-json", str(out), "--out-csv", str(csv)])
     assert code == 0
-    res = load(out)["results"]
+    doc = load(out)
+    res = doc["results"]
+    assert set(res) == {"endpoint", "m_values", "discretized", "constraint_residuals",
+                        "minimizer_mixture", "diagnostics"}
+    assert set(res["diagnostics"]) == {"iterations", "status", "reasons"}
+    assert doc["config"]["alpha"] == 1.0
     assert set(res["discretized"]) == {"2", "4"}
-    assert res["quadrature_optimal_path"] == pytest.approx(0.19274475702, abs=1e-8)
-    assert np.isfinite(res["closed_form_paper"])
-    assert "variational_gap" in res["diagnostics"]["notes"]
+    # below the cost of the constant-split path, h(0.8), an upper bound
+    assert 0.0 < res["discretized"]["4"] <= res["discretized"]["2"] < 0.19274475702 - 1e-3
     lines = csv.read_text().splitlines()
     assert lines[0] == "m,value,constraint_residual"
     assert len(lines) == 3

@@ -9,7 +9,13 @@ a module's __all__ is exported, so both are exempt.  It also fails on a
 module-level function, public or _private, or ALL-CAPS constant that no
 other statement of the package reads, as a loaded name, an attribute or an
 import: dead code, such as a helper whose last caller has gone.  A public
-function that __init__.py imports is exported and so counts as read.
+function that __init__.py imports is exported and so counts as read.  A
+method or property of a package class without a base class is dead when
+neither the package nor the tests read its name as an attribute outside its
+own body; a class with a base may override its base's methods (an argparse
+parser's error), which their callers reach by that base's name, so it is
+exempt.  The checks match names, not types: a member that shares its name
+with an attribute read elsewhere passes.
 """
 
 import ast
@@ -22,6 +28,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "liewalk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+TESTS = {p.name: p.read_text() for p in sorted(Path(__file__).parent.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -101,6 +108,45 @@ def test_checker_finds_dead_private_code():
 
 def test_private_code_is_read():
     assert dead_code(PACKAGE) == []
+
+
+def dead_members(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """'module: Class.name (line n)' for each method and property of a package
+    class without a base class whose name no attribute read of the package or
+    of readers, outside the member's own body, takes."""
+    reads = {}
+    for source in [*package.values(), *readers.values()]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+    dead = []
+    for module, source in package.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef) or cls.bases or cls.keywords:
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.endswith("__"):
+                    own = sum(isinstance(n, ast.Attribute) and n.attr == fn.name
+                              for n in ast.walk(fn))
+                    if reads.get(fn.name, 0) == own:
+                        dead.append(f"{module}: {cls.name}.{fn.name} (line {fn.lineno})")
+    return dead
+
+
+def test_checker_finds_dead_members():
+    package = {"a.py": ("class Point:\n"
+                        "    def __init__(self):\n        self.x = 1\n"
+                        "    def moved(self):\n        return self.moved()\n"
+                        "    @property\n    def norm(self):\n        return self.x\n"
+                        "    def used(self):\n        return 2\n"
+                        "class Parser(Base):\n    def error(self):\n        pass\n")}
+    readers = {"test_a.py": "from a import Point\nPoint().used()\n"}
+    assert dead_members(package, readers) == ["a.py: Point.moved (line 4)",
+                                              "a.py: Point.norm (line 7)"]
+
+
+def test_package_class_members_are_read():
+    assert dead_members(PACKAGE, TESTS) == []
 
 
 SCIPY_AT_CALL_SITES = ("scipy.optimize", "scipy.spatial", "scipy.special")

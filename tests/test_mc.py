@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from liewalk import (
     estimate_probability,
     exp_matrix,
     legendre,
+    replacement_deviation,
+    segment_decomposition,
+    simulate_walk,
     tilted_estimator,
     wilson_interval,
 )
@@ -42,6 +47,36 @@ def test_wilson_interval_shape():
     assert lo0 == 0.0
     z = 1.6448536269514722
     assert hi0 == pytest.approx(z * z / (100 + z * z))
+
+
+@pytest.mark.parametrize("hits, n", [(5, 3), (-1, 10)])
+def test_wilson_interval_rejects_hits_outside_zero_to_n(hits, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no sqrt of a negative on the way
+        with pytest.raises(InvalidArgumentError, match=r"hits must lie in \[0, n\]"):
+            wilson_interval(hits, n)
+
+
+COUNTS = {
+    "simulate_walk-n": lambda dist, ball, v: simulate_walk(dist, v, seed=0),
+    "segment_decomposition-m": lambda dist, ball, v: segment_decomposition(
+        simulate_walk(dist, 50, seed=0), v),
+    "replacement_deviation-m": lambda dist, ball, v: replacement_deviation(
+        simulate_walk(dist, 50, seed=0), v),
+    "tilted_estimator-n": lambda dist, ball, v: tilted_estimator(dist, v, ball, 10, None, 0),
+    "tilted_estimator-samples": lambda dist, ball, v: tilted_estimator(dist, 20, ball, v, None, 0),
+    "tilted_estimator-shards": lambda dist, ball, v: tilted_estimator(
+        dist, 20, ball, 10, None, 0, shards=v),
+    "empirical_rate_curve-ns": lambda dist, ball, v: empirical_rate_curve(dist, ball, [v], 10, 0),
+}
+
+
+@pytest.mark.parametrize("value", [20.7, True, "4", None, 0])
+@pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS.keys())
+def test_counts_must_be_positive_integers(dist, mean_ball, call, value):
+    # one check for every count: no float truncated, no bool taken for 1
+    with pytest.raises(InvalidArgumentError, match="positive integer|must lie in"):
+        call(dist, mean_ball, value)
 
 
 def test_point_mass_walk_hits_its_endpoint():

@@ -14,7 +14,6 @@ import liewalk as lw
 import liewalk.rate as rate_module
 from liewalk import (
     AlgebraVector,
-    ClosedFormPath2,
     GroupElement,
     IncrementDistribution,
     InvalidArgumentError,
@@ -28,9 +27,16 @@ from liewalk.legendre import DOMAIN_TOL
 from liewalk.lie import _expm
 from legendre_reference import logarithmic_derivative as reference_log_derivative
 from legendre_reference import rate_along_path as reference_rate_along_path
-from test_acceptance import ALPHA, line_endpoint, minimizing_path_s2, sampled_minimizer
+from test_acceptance import ALPHA, sampled_minimizer
 from test_legendre import generator_law_3x3
-from test_rate import theta_split_path, vertex_path
+from two_state_paths import (
+    ClosedFormPath2,
+    constant_split_path,
+    line_endpoint,
+    minimizing_path_s2,
+    theta_split_path,
+    vertex_path,
+)
 
 CRITERION_5 = [0.52, 0.58, 0.4 / (1 - np.exp(-ALPHA)), 0.7, 0.8]
 FEW_NODES = dict(quad_nodes=4, subintervals=8)
@@ -52,7 +58,7 @@ def criterion_5_paths(dist, c):
     """
     g, _ = line_endpoint(c)
     best = lw.refinement_ladder(dist, g, [2, 4])[4]
-    return [lw.optimal_path_s2(ALPHA, g), minimizing_path_s2(ALPHA, g),
+    return [constant_split_path(ALPHA, g), minimizing_path_s2(ALPHA, g),
             sampled_minimizer(best.segments)]
 
 
@@ -96,7 +102,7 @@ def test_infinite_node_before_a_raising_node_wins(dist):
 def test_raising_node_after_finite_nodes_raises(dist):
     # constant split up to t = 1/2, then a jump out of the invertible region
     g, _ = line_endpoint(0.7)
-    split = lw.optimal_path_s2(ALPHA, g)
+    split = constant_split_path(ALPHA, g)
     path = ClosedFormPath2(g1=lambda t: np.where(t < 0.5, split.g1(t), 0.9),
                            g2=lambda t: np.where(t < 0.5, split.g2(t), 0.9),
                            d1=split.d1, d2=split.d2)
@@ -110,7 +116,7 @@ def test_interior_path_calls_no_legendre(dist, monkeypatch):
     monkeypatch.setattr(rate_module, "legendre",
                         lambda d, x: calls.append(x) or lw.legendre(d, x))
     g, _ = line_endpoint(0.7)
-    rate_along_path(dist, lw.optimal_path_s2(ALPHA, g))
+    rate_along_path(dist, constant_split_path(ALPHA, g))
     assert calls == []
     rate_along_path(dist, vertex_path(), **FEW_NODES)
     assert len(calls) == 32
@@ -201,12 +207,12 @@ def test_sampled_path_segment_without_log_is_rejected():
 def test_bad_quadrature_sizes_raise(dist, kwargs):
     g, _ = line_endpoint(0.7)
     with pytest.raises(InvalidArgumentError):
-        rate_along_path(dist, lw.optimal_path_s2(ALPHA, g), **kwargs)
+        rate_along_path(dist, constant_split_path(ALPHA, g), **kwargs)
 
 
 def test_numpy_integer_sizes_are_accepted(dist):
     g, _ = line_endpoint(0.7)
-    path = lw.optimal_path_s2(ALPHA, g)
+    path = constant_split_path(ALPHA, g)
     assert (rate_along_path(dist, path, quad_nodes=np.int64(4), subintervals=np.int32(8))
             == rate_along_path(dist, path, **FEW_NODES))
 

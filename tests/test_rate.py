@@ -4,19 +4,16 @@ import scipy.optimize
 
 from liewalk import (
     AlgebraVector,
-    ClosedFormPath2,
     GroupElement,
     IncrementDistribution,
     InvalidArgumentError,
     OutOfDomainError,
     SampledPath,
-    closed_form_rate_s2,
     discretized_rate,
     example_model,
     exp_matrix,
     legendre,
     logarithmic_derivative,
-    optimal_path_s2,
     rate_along_path,
     rate_report,
     refinement_ladder,
@@ -24,47 +21,16 @@ from liewalk import (
 from liewalk.lie import _expm
 from liewalk.rate import _penalty
 from logm_reference import logm as reference_logm
-from test_acceptance import minimizing_path_s2, sampled_minimizer
+from test_acceptance import sampled_minimizer, segment_mismatch
 from test_legendre import generator_law_3x3
-
-
-def line_endpoint(c, alpha=1.0):
-    """Group endpoint exp(u) with constant-split velocity u on the finiteness line."""
-    u = np.array([[-c * alpha, c * alpha], [(1 - c) * alpha, -(1 - c) * alpha]])
-    return GroupElement(_expm(u)), AlgebraVector(u)
-
-
-def theta_split_path(alpha=1.0, amp=0.3, omega=2 * np.pi):
-    """Finite-rate path whose velocity split oscillates: a genuinely
-    non-geodesic curve (the off-diagonal transfer still obeys the total-flow
-    law, so the conjugate stays finite along it)."""
-
-    def trig_integral(t):
-        # int_0^t e^{-alpha s} sin(omega s) ds
-        return (omega - np.exp(-alpha * t) * (alpha * np.sin(omega * t)
-                                              + omega * np.cos(omega * t))) \
-            / (alpha ** 2 + omega ** 2)
-
-    def g1(t):
-        return 0.5 * (1 - np.exp(-alpha * t)) + amp * alpha * trig_integral(t)
-
-    def g2(t):
-        return 0.5 * (1 - np.exp(-alpha * t)) - amp * alpha * trig_integral(t)
-
-    def d1(t):
-        return (0.5 + amp * np.sin(omega * t)) * alpha * np.exp(-alpha * t)
-
-    def d2(t):
-        return (0.5 - amp * np.sin(omega * t)) * alpha * np.exp(-alpha * t)
-
-    return ClosedFormPath2(g1=g1, g2=g2, d1=d1, d2=d2)
-
-
-def vertex_path(alpha=1.0):
-    """gamma(t) = exp(t A): all transfer through the first state."""
-    return ClosedFormPath2(
-        g1=lambda t: 1 - np.exp(-alpha * t), g2=lambda t: 0.0,
-        d1=lambda t: alpha * np.exp(-alpha * t), d2=lambda t: 0.0)
+from two_state_paths import (
+    ClosedFormPath2,
+    constant_split_path,
+    line_endpoint,
+    minimizing_path_s2,
+    theta_split_path,
+    vertex_path,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +38,7 @@ def vertex_path(alpha=1.0):
 
 def test_one_parameter_derivative_constant():
     g, u = line_endpoint(0.8)
-    path = optimal_path_s2(1.0, g)
+    path = constant_split_path(1.0, g)
     for t in (0.0, 0.25, 0.7, 1.0):
         assert (logarithmic_derivative(path, t) - u).norm < 1e-12
 
@@ -131,7 +97,7 @@ def test_sampled_path_validation():
 
 def test_rate_vanishes_on_mean_flow(dist):
     g, _ = line_endpoint(0.5)
-    path = optimal_path_s2(1.0, g)
+    path = constant_split_path(1.0, g)
     assert rate_along_path(dist, path) <= 1e-10
 
 
@@ -143,7 +109,7 @@ def test_rate_on_vertex_path(dist):
 def test_rate_constant_split(dist):
     for c in (0.65, 0.8):
         g, u = line_endpoint(c)
-        val = rate_along_path(dist, optimal_path_s2(1.0, g),
+        val = rate_along_path(dist, constant_split_path(1.0, g),
                               quad_nodes=6, subintervals=8)
         expected = c * np.log(c) + (1 - c) * np.log(1 - c) + np.log(2)
         assert val == pytest.approx(expected, abs=1e-9)
@@ -163,25 +129,25 @@ def test_theta_split_rate_exceeds_constant_split(dist):
     path = theta_split_path()
     g = GroupElement(path.point(1.0))
     osc = rate_along_path(dist, path, quad_nodes=6, subintervals=16)
-    const = rate_along_path(dist, optimal_path_s2(1.0, g),
+    const = rate_along_path(dist, constant_split_path(1.0, g),
                             quad_nodes=6, subintervals=16)
     assert osc > const + 1e-3
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# the constant-split path
 
 def test_optimal_path_endpoint_reproduction():
     for c in (0.0, 0.3, 1.0):
         g, _ = line_endpoint(c)
-        path = optimal_path_s2(1.0, g)
+        path = constant_split_path(1.0, g)
         assert np.abs(path.point(1.0) - g.entries).max() < 1e-12
         assert np.abs(path.point(0.0) - np.eye(2)).max() == 0.0
 
 
 def test_optimal_path_total_flow_ode():
     g, _ = line_endpoint(0.7, alpha=1.3)
-    path = optimal_path_s2(1.3, g)
+    path = constant_split_path(1.3, g)
     for t in (0.1, 0.6, 0.95):
         psi = path.g1(t) + path.g2(t)
         dpsi = path.d1(t) + path.d2(t)
@@ -191,7 +157,7 @@ def test_optimal_path_total_flow_ode():
 
 def test_optimal_path_mean_split_is_one_parameter(dist, model):
     g, _ = line_endpoint(0.5)
-    path = optimal_path_s2(1.0, g)
+    path = constant_split_path(1.0, g)
     for t in (0.2, 0.5, 0.9):
         expected = exp_matrix(t * model.mean_increment).entries
         np.testing.assert_allclose(path.point(t), expected, atol=1e-13)
@@ -200,25 +166,7 @@ def test_optimal_path_mean_split_is_one_parameter(dist, model):
 def test_optimal_path_rejects_off_constraint():
     g = GroupElement([[0.7, 0.3], [0.2, 0.8]])  # 0.3 + 0.2 != 1 - e^-1
     with pytest.raises(InvalidArgumentError):
-        optimal_path_s2(1.0, g)
-
-
-def test_published_rate_expression():
-    alpha = 1.0
-    s = 1 - np.exp(-alpha)
-    g, _ = line_endpoint(0.5, alpha)
-    # direct evaluation of the displayed expression at the symmetric endpoint
-    m12 = s / 2
-    expected = 2 * (alpha ** 2) * m12 * np.log(alpha * m12 / s) \
-        + (1 - alpha) * np.exp(-alpha) - np.log(0.5 * alpha ** 2) - 1
-    assert closed_form_rate_s2(g, alpha) == pytest.approx(expected, abs=1e-14)
-    # and it visibly disagrees with the quadrature value (which is 0 here)
-    assert abs(closed_form_rate_s2(g, alpha)) > 0.5
-
-
-def test_published_rate_off_constraint_infinite():
-    g = GroupElement([[0.7, 0.3], [0.2, 0.8]])
-    assert np.isinf(closed_form_rate_s2(g, 1.0))
+        constant_split_path(1.0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +240,7 @@ def test_normalized_consistency_moderate_endpoints(dist):
     for c in (0.55, 0.65, 0.7):
         g, _ = line_endpoint(c)
         ladder = refinement_ladder(dist, g, [2, 4, 8, 16, 32])
-        quad = rate_along_path(dist, optimal_path_s2(1.0, g),
+        quad = rate_along_path(dist, constant_split_path(1.0, g),
                                quad_nodes=6, subintervals=16)
         gap = abs(ladder[32].value - quad)
         assert gap / max(1.0, quad) <= 0.01, (c, gap)
@@ -365,22 +313,13 @@ def test_jensen_direction_on_oscillating_path(dist):
 
 def test_segment_log_matches_integral_decay(dist):
     # the mismatch between block logs and block velocity integrals decays
-    path = theta_split_path()
-    scaled = []
-    for m in (8, 16, 32):
-        worst = 0.0
-        for i in range(1, m + 1):
-            a, b = (i - 1) / m, i / m
-            seg_log = reference_logm(np.linalg.solve(path.point(a), path.point(b)))
-            worst = max(worst, np.linalg.norm(
-                seg_log - quadrature_segment_integral(path, a, b)))
-        scaled.append(m * worst)
+    scaled = [m * segment_mismatch(theta_split_path(), m) for m in (8, 16, 32)]
     assert scaled[1] < scaled[0] and scaled[2] < scaled[1]
 
 
 def test_segment_log_exact_on_one_parameter_path():
     g, u = line_endpoint(0.8)
-    path = optimal_path_s2(1.0, g)
+    path = constant_split_path(1.0, g)
     for m in (8, 64):
         worst = 0.0
         for i in range(1, m + 1):
@@ -406,16 +345,16 @@ def test_sampled_replay_of_the_ladder_is_its_cost(dist, c):
 # bundled report
 
 def test_rate_report_triple(dist):
+    # the ladder, its residuals and minimizer, and the solver's diagnostics
     g, _ = line_endpoint(0.8)
-    report = rate_report(dist, g, [2, 4], alpha=1.0)
-    assert report.quadrature_optimal_path == pytest.approx(
-        0.8 * np.log(0.8) + 0.2 * np.log(0.2) + np.log(2), abs=1e-8)
-    assert np.isfinite(report.closed_form_paper)
-    notes = report.diagnostics["notes"]
-    assert "closed_form_discrepancy" in notes
-    assert "variational_gap" in notes
+    report = rate_report(dist, g, [2, 4])
     payload = report.to_jsonable()
-    assert set(payload["discretized"]) == {"2", "4"}
+    assert list(payload) == ["endpoint", "m_values", "discretized", "constraint_residuals",
+                             "minimizer_mixture", "diagnostics"]
+    assert list(payload["diagnostics"]) == ["iterations", "status", "reasons"]
+    ladder = refinement_ladder(dist, g, [2, 4])
+    assert payload["discretized"] == {"2": ladder[2].value, "4": ladder[4].value}
+    assert payload["minimizer_mixture"] == [x.entries.tolist() for x in ladder[4].segments]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +406,7 @@ def test_off_determinant_line_is_infinite_at_once(dist):
         assert np.isinf(res.value) and res.segments is None
         assert res.diagnostics["reason"] == "determinant"
         assert res.diagnostics["iterations"] == 0
-    report = rate_report(dist, g, [4, 8], alpha=1.0)
+    report = rate_report(dist, g, [4, 8])
     assert report.diagnostics["reasons"] == {4: "determinant", 8: "determinant"}
 
 
@@ -561,12 +500,12 @@ def test_discretized_rate_takes_numpy_integers(dist):
 def test_rate_report_needs_a_level(dist):
     g, _ = line_endpoint(0.7)
     with pytest.raises(InvalidArgumentError):
-        rate_report(dist, g, [], alpha=1.0)
+        rate_report(dist, g, [])
 
 
 def test_rate_report_carries_the_solver_status(dist):
     g, _ = line_endpoint(0.7)
-    report = rate_report(dist, g, [2, 4], alpha=1.0)
+    report = rate_report(dist, g, [2, 4])
     assert report.diagnostics["status"] == {2: 0, 4: 0}
     assert all(n > 0 for n in report.diagnostics["iterations"].values())
     assert report.diagnostics["reasons"] == {2: None, 4: None}
