@@ -11,7 +11,6 @@ two-state stochastic group.
 from .bch import (
     BoundCertificate,
     R_BCH,
-    SeriesBudget,
     bch_log,
     c_constant,
     empirical_lipschitz_constant,
@@ -45,7 +44,6 @@ from .legendre import (
 from .lie import (
     AlgebraVector,
     GroupElement,
-    LinearOperator,
     ad_operator,
     algebra_basis,
     bracket,

@@ -9,13 +9,19 @@ with W = e^{ad_X} e^{s ad_Y}, and the integral formula
 
     log(exp(X) exp(Y)) = X + (int_0^1 g(e^{ad_X} e^{s ad_Y}) ds) Y,
 
-evaluated by Gauss-Legendre quadrature.  Certificates compare the measured
-deviation |log(exp X exp Y) - X - Y| against C(||ad_X||) |Y| where
+evaluated by Gauss-Legendre quadrature.  Both series stop once their tail
+bound drops below SERIES_TOL and raise NonConvergenceError if
+SERIES_MAX_ORDER terms do not get there; f_operator and g_operator return
+(D, D) arrays in the frame of lie.algebra_basis.  Certificates compare the
+measured deviation |log(exp X exp Y) - X - Y| against C(||ad_X||) |Y| where
 C(a) = (e^a - 1) * sum_{m>=1} (sqrt(2)-1)^{m-1} / (m(m+1)).
 
-Sampling-based verifiers take explicit seeds and derive one child stream
-per pair, so suites can be sharded by seed offset and merged.  They compute
-on stacks of up to _BLOCK pairs, with norms from lie.operator_norm.
+Every certificate is computed on stacks of pairs, with norms from
+lie.operator_norm: a single-pair check (verify_log_product,
+verify_lipschitz) is one row of the body its suite runs on.  Sampling-based
+verifiers take explicit seeds and derive one child stream per pair, so
+suites can be sharded by seed offset and merged; they run in blocks of up
+to _BLOCK pairs.
 """
 
 import math
@@ -23,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfDomainError
+from .errors import InvalidArgumentError, NonConvergenceError, OutOfDomainError
 from .lie import (
     AlgebraVector,
-    LinearOperator,
     _ad_stack,
     _ball_coords,
     _check_sampling,
@@ -36,9 +41,7 @@ from .lie import (
     _logm_stack,
     ad_operator,
     coords,
-    exp_matrix,
     from_coords,
-    log_matrix,
     operator_norm,
 )
 
@@ -46,6 +49,8 @@ CERT_TOL = 1e-12            # pass margin for bound certificates
 SQRT2M1 = math.sqrt(2.0) - 1.0
 R_BCH = 0.2                 # operational radius (Frobenius) for d <= 4
 _BLOCK = 256                # pairs per stacked block; any suite peaks near 4 MiB at d = 3
+SERIES_MAX_ORDER = 60       # most terms the f and g series take
+SERIES_TOL = 1e-14          # a series stops once its tail bound is below this
 
 
 def _series_constant() -> float:
@@ -72,20 +77,15 @@ def c_constant(ad_norm: float) -> float:
     return float(np.expm1(ad_norm) * C_SERIES)
 
 
-@dataclass(frozen=True)
-class SeriesBudget:
-    """Truncation policy: stop when the certified tail drops below tol."""
-
-    max_order: int = 60
-    tol: float = 1e-14
-
-    @staticmethod
-    def g_tail(q: float, m: int) -> float:
-        """Geometric tail of the g-series after m terms at contraction q."""
-        return q ** (m + 1) / ((m + 1) * (m + 2) * (1.0 - q))
+def g_tail(q: float, m: int) -> float:
+    """Geometric tail of the g-series after m terms at contraction q."""
+    return q ** (m + 1) / ((m + 1) * (m + 2) * (1.0 - q))
 
 
-DEFAULT_BUDGET = SeriesBudget()
+def _not_converged(series: str, norm: str, tail: float) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"{series}-series not converged at order {SERIES_MAX_ORDER}: {norm}, "
+        f"tail bound {tail:.3e} >= {SERIES_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -101,27 +101,28 @@ class BoundCertificate:
                    passed=bool(lhs <= rhs + CERT_TOL))
 
 
-def f_operator(x: AlgebraVector, budget: SeriesBudget = DEFAULT_BUDGET) -> LinearOperator:
-    """Truncated series for (I - e^{-ad_X}) / ad_X with a factorial tail bound."""
-    ad = ad_operator(x).matrix
+def f_operator(x: AlgebraVector) -> np.ndarray:
+    """Series for (I - e^{-ad_X}) / ad_X, cut by a factorial tail bound."""
+    ad = ad_operator(x)
     a = operator_norm(ad)
     big = ad.shape[0]
     term = np.eye(big)
     total = np.eye(big)
     m = 0
-    while m < budget.max_order:
+    while True:
         m += 1
         term = term @ ad * (-1.0 / (m + 1))
         total += term
         # tail <= a^m / (m+2)! * 1/(1 - a/(m+3)) once m + 3 > a
         denom = max(1.0 - a / (m + 3), 0.5)
         tail = a ** (m + 1) / math.factorial(m + 2) / denom
-        if tail < budget.tol:
-            break
-    return LinearOperator(total)
+        if tail < SERIES_TOL:
+            return total
+        if m == SERIES_MAX_ORDER:
+            raise _not_converged("f", f"||ad_X|| = {a:.6f}", tail)
 
 
-def _g_series(w: np.ndarray, budget: SeriesBudget) -> np.ndarray:
+def _g_series(w: np.ndarray) -> np.ndarray:
     big = w.shape[0]
     e = w - np.eye(big)
     q = operator_norm(e)
@@ -131,63 +132,60 @@ def _g_series(w: np.ndarray, budget: SeriesBudget) -> np.ndarray:
     total = np.eye(big) + 0.5 * e
     term = e.copy()
     m = 1
-    while m < budget.max_order:
-        if SeriesBudget.g_tail(q, m) < budget.tol:
-            break
+    while (tail := g_tail(q, m)) >= SERIES_TOL:
+        if m == SERIES_MAX_ORDER:
+            raise _not_converged("g", f"||e^ad_X e^s ad_Y - I|| = {q:.6f}", tail)
         m += 1
         term = term @ e
         total += ((-1.0) ** (m + 1) / (m * (m + 1))) * term
     return total
 
 
-def g_operator(x: AlgebraVector, y: AlgebraVector, s: float,
-               budget: SeriesBudget = DEFAULT_BUDGET) -> LinearOperator:
+def g_operator(x: AlgebraVector, y: AlgebraVector, s: float) -> np.ndarray:
     """g(e^{ad_X} e^{s ad_Y}) as an operator on the algebra."""
     if not 0.0 <= s <= 1.0:
         raise InvalidArgumentError("s must lie in [0, 1]")
-    w = _expm(ad_operator(x).matrix) @ _expm(s * ad_operator(y).matrix)
-    return LinearOperator(_g_series(w, budget))
+    return _g_series(_expm(ad_operator(x)) @ _expm(s * ad_operator(y)))
 
 
-def bch_log(x: AlgebraVector, y: AlgebraVector, quad_nodes: int = 16,
-            budget: SeriesBudget = DEFAULT_BUDGET) -> AlgebraVector:
+def _check_radius(name: str, x: AlgebraVector, y: AlgebraVector) -> None:
+    if x.norm > R_BCH + 1e-12 or y.norm > R_BCH + 1e-12:
+        raise OutOfDomainError(
+            f"{name} radius exceeded: |X| = {x.norm:.4f}, |Y| = {y.norm:.4f}, "
+            f"allowed {R_BCH}")
+
+
+def bch_log(x: AlgebraVector, y: AlgebraVector, quad_nodes: int = 16) -> AlgebraVector:
     """Quadrature of the integral formula for log(exp(X) exp(Y)).
 
     Requires |X|, |Y| <= R_BCH so the contraction condition of the series
     holds along the whole integration path.
     """
-    if x.norm > R_BCH + 1e-12 or y.norm > R_BCH + 1e-12:
-        raise OutOfDomainError(
-            f"bch_log radius exceeded: |X| = {x.norm:.4f}, |Y| = {y.norm:.4f}, "
-            f"allowed {R_BCH}")
-    ad_x = _expm(ad_operator(x).matrix)
-    ad_y = ad_operator(y).matrix
+    _check_radius("bch_log", x, y)
+    ad_x = _expm(ad_operator(x))
+    ad_y = ad_operator(y)
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     y_coords = coords(y)
     acc = np.zeros_like(y_coords)
     for xi, wi in zip(nodes, weights):
         s = 0.5 * (xi + 1.0)
         w = ad_x @ _expm(s * ad_y)
-        acc += 0.5 * wi * (_g_series(w, budget) @ y_coords)
+        acc += 0.5 * wi * (_g_series(w) @ y_coords)
     return from_coords(coords(x) + acc, x.dim)
 
 
 def verify_log_product(x: AlgebraVector, y: AlgebraVector) -> BoundCertificate:
     """Certificate for |log(exp X exp Y) - X - Y| <= C(||ad_X||) |Y|."""
-    if x.norm > R_BCH + 1e-12 or y.norm > R_BCH + 1e-12:
-        raise OutOfDomainError("verify_log_product: radius exceeded")
-    z = log_matrix(exp_matrix(x) @ exp_matrix(y))
-    lhs = (z - x - y).norm
-    constant = c_constant(ad_operator(x).norm())
-    return BoundCertificate.compare(lhs, constant * y.norm, constant)
+    _check_radius("verify_log_product", x, y)
+    lhs, ad_norm, rhs = _log_product_bounds(x.entries[None], y.entries[None])
+    return BoundCertificate.compare(float(lhs[0]), float(rhs[0]), c_constant(float(ad_norm[0])))
 
 
 def verify_lipschitz(x: AlgebraVector, y: AlgebraVector, c: float) -> BoundCertificate:
     """Certificate for |log(exp X exp(-Y))| <= C |X - Y| at a supplied constant."""
-    if x.norm > R_BCH + 1e-12 or y.norm > R_BCH + 1e-12:
-        raise OutOfDomainError("verify_lipschitz: radius exceeded")
-    lhs = log_matrix(exp_matrix(x) @ exp_matrix(-y)).norm
-    return BoundCertificate.compare(lhs, c * (x - y).norm, c)
+    _check_radius("verify_lipschitz", x, y)
+    lhs, gap = _lipschitz_parts(x.entries[None], y.entries[None])
+    return BoundCertificate.compare(float(lhs[0]), c * float(gap[0]), c)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +219,25 @@ def _log_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z
 
 
+def _log_product_bounds(x: np.ndarray, y: np.ndarray):
+    """(lhs, ||ad_X||, rhs) of the deviation bound for each pair of two (k, d, d) stacks."""
+    ad_norm = operator_norm(_ad_stack(x))
+    lhs = _frobenius_norms(_log_products(x, y) - x - y)
+    return lhs, ad_norm, np.expm1(ad_norm) * C_SERIES * _frobenius_norms(y)
+
+
+def _lipschitz_parts(x: np.ndarray, y: np.ndarray):
+    """(|log(exp X exp(-Y))|, |X - Y|) for each pair of two (k, d, d) stacks."""
+    return _frobenius_norms(_log_products(x, -y)), _frobenius_norms(x - y)
+
+
 def empirical_lipschitz_constant(d: int, radius: float, n_pairs: int,
                                  seed: int) -> float:
     """Max observed |log(exp X exp(-Y))| / |X - Y| over a seeded sample."""
     _check_sampling(n_pairs, radius, R_BCH)
     worst = 0.0
     for _, x, y in _pair_blocks(d, radius, n_pairs, seed):
-        gap = _frobenius_norms(x - y)
-        lhs = _frobenius_norms(_log_products(x, -y))
+        lhs, gap = _lipschitz_parts(x, y)
         far = gap >= 1e-12
         worst = max(worst, float((lhs[far] / gap[far]).max(initial=0.0)))
     return worst
@@ -247,13 +256,10 @@ def run_log_product_suite(d: int, radius: float, n_pairs: int, seed: int):
 
 def _log_product_rows(d: int, radius: float, n_pairs: int, seed: int):
     for start, x, y in _pair_blocks(d, radius, n_pairs, seed):
-        ad_norm = operator_norm(_ad_stack(x))
-        norm_y = _frobenius_norms(y)
-        lhs = _frobenius_norms(_log_products(x, y) - x - y)
-        rhs = np.expm1(ad_norm) * C_SERIES * norm_y
+        lhs, ad_norm, rhs = _log_product_bounds(x, y)
         yield from zip(range(start, start + len(x)), _frobenius_norms(x).tolist(),
-                       norm_y.tolist(), ad_norm.tolist(), lhs.tolist(), rhs.tolist(),
-                       (lhs <= rhs + CERT_TOL).tolist())
+                       _frobenius_norms(y).tolist(), ad_norm.tolist(), lhs.tolist(),
+                       rhs.tolist(), (lhs <= rhs + CERT_TOL).tolist())
 
 
 @dataclass(frozen=True)

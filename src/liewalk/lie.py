@@ -9,8 +9,15 @@ truncated Mercator series with an explicit tail bound), brackets, adjoint
 operators, conjugation, and the left-invariant distance proxy
 |log(g^-1 h)|_F.
 
-All values are immutable and all operations are pure functions, so
-everything here is safe to share across parallel workers.
+An adjoint operator is a plain (D, D) array, D = d^2 - d, in the frame of
+algebra_basis(d): ad_operator(x) maps coords(y) to coords([x, y]), and
+operator_norm bounds its largest singular value from above.  The one-element
+functions (exp_matrix, log_matrix, from_coords, ad_operator) are one-row
+cases of the stacked bodies (_expm, _logm_stack, _coords_to_matrices,
+_ad_stack), so a stack gives each row bit for bit as its element alone.
+
+Group and algebra elements are immutable and all operations are pure
+functions, so everything here is safe to share across parallel workers.
 """
 
 from dataclasses import dataclass, field
@@ -118,28 +125,6 @@ class GroupElement:
         return GroupElement(self.entries @ other.entries)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearOperator:
-    """Linear map on the algebra, stored in the orthonormal basis of algebra_basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply_coords(self, c: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(c, dtype=np.float64)
-
-    def norm(self) -> float:
-        """Operator norm (largest singular value), bounded from above; see operator_norm."""
-        return operator_norm(self.matrix)
-
-
 def operator_norm(m: np.ndarray):
     """Largest singular value of one matrix (a float) or of each of a (..., D, D) stack,
     raised by 1 + 4 D eps to bound it from above: against mpmath at 40 digits,
@@ -202,7 +187,7 @@ def _ball_coords(d: int, radius: float, rng: np.random.Generator,
 
 def _coords_to_matrices(c: np.ndarray, d: int) -> np.ndarray:
     """Algebra matrices of the coordinate rows of a (..., d^2 - d) array, one
-    vector-matrix product per row, summed as from_coords sums it."""
+    vector-matrix product per row; from_coords is its one-row case."""
     basis = _basis_stack(d)
     return (c[..., None, :] @ basis.reshape(len(basis), -1)).reshape(*c.shape[:-1], d, d)
 
@@ -212,7 +197,7 @@ def from_coords(c: np.ndarray, d: int) -> AlgebraVector:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (stack.shape[0],):
         raise InvalidArgumentError(f"expected {stack.shape[0]} coordinates, got {c.shape}")
-    return AlgebraVector(np.tensordot(c, stack, axes=1))
+    return AlgebraVector(_coords_to_matrices(c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +374,9 @@ def _ad_stack(x: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1) @ xb  # column j = coords of [X, B_j]
 
 
-def ad_operator(x: AlgebraVector) -> LinearOperator:
-    """Matrix of Y -> [X, Y] in the orthonormal basis of algebra_basis(d)."""
-    return LinearOperator(_ad_stack(x.entries))
+def ad_operator(x: AlgebraVector) -> np.ndarray:
+    """(D, D) matrix of Y -> [X, Y] in the orthonormal basis of algebra_basis(d)."""
+    return _ad_stack(x.entries)
 
 
 def conjugate(g: GroupElement, x: AlgebraVector) -> AlgebraVector:

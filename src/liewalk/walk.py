@@ -21,20 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import partial_products
-from .bch import BoundCertificate, c_constant
+from .bch import BoundCertificate, _pair_rng, c_constant
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
 from .lie import (
     AlgebraVector,
     GroupElement,
+    _ad_stack,
     _ball_coords,
+    _coords_to_matrices,
     _expm,
     _frobenius_norms,
     _logm,
     _logm_stack,
-    ad_operator,
+    algebra_dim,
     distance_proxy,
-    from_coords,
+    operator_norm,
 )
 
 @dataclass(frozen=True, eq=False)
@@ -146,19 +148,24 @@ def psi_m(segments) -> GroupElement:
     segments = list(segments)
     if not segments:
         raise InvalidArgumentError("need at least one segment")
-    return GroupElement(partial_products(_expm(np.array([x.entries for x in segments])))[-1])
+    return _psi(np.array([x.entries for x in segments]))
+
+
+def _psi(xs: np.ndarray) -> GroupElement:
+    """Psi_m of a (m, d, d) segment stack."""
+    return GroupElement(partial_products(_expm(xs))[-1])
 
 
 # ---------------------------------------------------------------------------
 # replacement certificate
 
 def kappa_support(dist: IncrementDistribution) -> float:
-    """Max of ||ad_X|| / |X| over the support atoms (norm-to-adjoint conversion)."""
-    worst = 0.0
-    for a in dist.atoms:
-        if a.norm > 0:
-            worst = max(worst, ad_operator(a).norm() / a.norm)
-    return worst
+    """Max of ||ad_X|| / |X| over the nonzero support atoms (norm-to-adjoint
+    conversion); 0.0 when every atom is zero."""
+    atoms = dist.atom_stack()
+    norms = _frobenius_norms(atoms)
+    ratios = operator_norm(_ad_stack(atoms))[norms > 0] / norms[norms > 0]
+    return float(ratios.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -199,6 +206,12 @@ def replacement_deviation(traj: WalkTrajectory, m: int) -> ReplacementCertificat
 # ---------------------------------------------------------------------------
 # continuity of the repeated exponential
 
+def _continuity_parts(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """(d(Psi(x), Psi(y)), sum |x_i - y_i|) for two (m, d, d) segment stacks;
+    the gap is summed left to right, as a loop over segment pairs sums it."""
+    return distance_proxy(_psi(xs), _psi(ys)), sum(_frobenius_norms(xs - ys).tolist())
+
+
 def psi_m_continuity_check(xs, ys, r: float, c_emp: float) -> BoundCertificate:
     """Compare d(Psi(x), Psi(y)) against c_emp * sum |x_i - y_i|.
 
@@ -211,31 +224,28 @@ def psi_m_continuity_check(xs, ys, r: float, c_emp: float) -> BoundCertificate:
     cap = r / m + 1e-12
     if any(x.norm > cap for x in xs) or any(y.norm > cap for y in ys):
         raise InvalidArgumentError(f"segment norms must not exceed r/m = {r / m:.4g}")
-    lhs = distance_proxy(psi_m(xs), psi_m(ys))
-    gap = sum((x - y).norm for x, y in zip(xs, ys))
+    lhs, gap = _continuity_parts(np.array([x.entries for x in xs]),
+                                 np.array([y.entries for y in ys]))
     return BoundCertificate.compare(lhs, c_emp * gap, c_emp)
 
 
 def estimate_continuity_constant(d: int, r: float, m: int, n_pairs: int,
                                  seed: int) -> float:
-    """Empirical constant: max of d(Psi(x), Psi(y)) / sum |x_i - y_i| by sampling."""
+    """Empirical constant: max of d(Psi(x), Psi(y)) / sum |x_i - y_i| by sampling.
+
+    Pair i is drawn from the child stream spawn_key=(i,) of the base seed.
+    """
     worst = 0.0
     for i in range(n_pairs):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        xs, ys, gap = [], [], 0.0
-        for _ in range(m):
-            c = _ball_coords(d, r / m, rng)
-            cy = c + _ball_coords(d, 0.2 * r / m, rng)
-            ny = np.linalg.norm(cy)
+        rng = _pair_rng(seed, i)
+        c = np.empty((2, m, algebra_dim(d)))
+        for j in range(m):
+            c[0, j] = _ball_coords(d, r / m, rng)
+            c[1, j] = c[0, j] + _ball_coords(d, 0.2 * r / m, rng)
+            ny = np.linalg.norm(c[1, j])
             if ny > r / m:
-                cy *= (r / m) / ny
-            x = from_coords(c, d)
-            y = from_coords(cy, d)
-            xs.append(x)
-            ys.append(y)
-            gap += (x - y).norm
-        if gap < 1e-14:
-            continue
-        lhs = distance_proxy(psi_m(xs), psi_m(ys))
-        worst = max(worst, lhs / gap)
+                c[1, j] *= (r / m) / ny
+        lhs, gap = _continuity_parts(*_coords_to_matrices(c, d))
+        if gap >= 1e-14:
+            worst = max(worst, lhs / gap)
     return worst

@@ -4,9 +4,9 @@ import pytest
 import liewalk.bch as bch
 from liewalk import (
     InvalidArgumentError,
+    NonConvergenceError,
     OutOfDomainError,
     R_BCH,
-    SeriesBudget,
     bch_log,
     c_constant,
     coords,
@@ -21,8 +21,19 @@ from liewalk import (
     verify_lipschitz,
     verify_log_product,
 )
-from liewalk.bch import C_SERIES, CERT_TOL, SQRT2M1, _pair_rng, sample_ball
-from liewalk.lie import _expm, ad_operator, validate_injectivity
+from liewalk.bch import (
+    C_SERIES,
+    CERT_TOL,
+    SERIES_MAX_ORDER,
+    SERIES_TOL,
+    SQRT2M1,
+    _g_series,
+    _pair_rng,
+    g_tail,
+    sample_ball,
+)
+from liewalk.lie import AlgebraVector, _expm, ad_operator, operator_norm, validate_injectivity
+import bch_reference as reference
 
 
 def rand_pair(rng, d, radius):
@@ -35,15 +46,15 @@ def rand_pair(rng, d, radius):
 
 def test_f_operator_at_zero_is_identity():
     z = from_coords(np.zeros(2), 2)
-    np.testing.assert_array_equal(f_operator(z).matrix, np.eye(2))
+    np.testing.assert_array_equal(f_operator(z), np.eye(2))
 
 
 def test_f_operator_distance_to_identity_bound(rng):
     for _ in range(30):
         x = sample_ball(3, 0.5, rng)
         op = f_operator(x)
-        dev = np.linalg.norm(op.matrix - np.eye(op.dim), 2)
-        assert dev <= np.expm1(np.linalg.svd(ad_operator(x).matrix, compute_uv=False)[0]) + 1e-12
+        dev = np.linalg.norm(op - np.eye(len(op)), 2)
+        assert dev <= np.expm1(np.linalg.svd(ad_operator(x), compute_uv=False)[0]) + 1e-12
 
 
 def test_f_operator_inverts_log_curve_derivative(rng):
@@ -55,35 +66,32 @@ def test_f_operator_inverts_log_curve_derivative(rng):
         plus = log_matrix(exp_matrix(x) @ exp_matrix(h * y))
         minus = log_matrix(exp_matrix(x) @ exp_matrix(-h * y))
         deriv = (plus - minus) * (1.0 / (2 * h))
-        back = from_coords(f_operator(x).apply_coords(coords(deriv)), 2)
+        back = from_coords(f_operator(x) @ coords(deriv), 2)
         assert (back - y).norm < 1e-6
 
 
 def test_g_operator_identity_at_zero():
     z = from_coords(np.zeros(2), 2)
-    np.testing.assert_allclose(g_operator(z, z, 0.5).matrix, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(g_operator(z, z, 0.5), np.eye(2), atol=1e-15)
 
 
 def test_g_operator_commuting_fixes_y(rng):
     x = sample_ball(2, 0.15, rng)
     y = 2.0 * x
     for s in (0.0, 0.3, 1.0):
-        out = from_coords(g_operator(x, y, s).apply_coords(coords(y)), 2)
+        out = from_coords(g_operator(x, y, s) @ coords(y), 2)
         assert (out - y).norm < 1e-12
 
 
 def test_g_operator_matches_combined_exponent(rng):
     # e^{ad_X} e^{s ad_Y} = e^{ad_Z(s)} with Z(s) = log(exp X exp sY)
-    from liewalk.bch import _g_series
-    from liewalk.lie import _expm
-
     for _ in range(10):
         x = sample_ball(2, 0.15, rng)
         y = sample_ball(2, 0.15, rng)
         s = rng.uniform(0, 1)
-        direct = g_operator(x, y, s).matrix
+        direct = g_operator(x, y, s)
         z = log_matrix(exp_matrix(x) @ exp_matrix(s * y))
-        via_z = _g_series(_expm(ad_operator(z).matrix), SeriesBudget())
+        via_z = _g_series(_expm(ad_operator(z)))
         np.testing.assert_allclose(direct, via_z, atol=1e-8)
 
 
@@ -96,9 +104,54 @@ def test_g_operator_contraction_violation_reports_norm():
 
 def test_series_tail_decreases():
     q = 0.4
-    tails = [SeriesBudget.g_tail(q, m) for m in range(1, 30)]
+    tails = [g_tail(q, m) for m in range(1, 30)]
     assert all(b < a for a, b in zip(tails, tails[1:]))
     assert tails[0] == pytest.approx(q ** 2 / (2 * 3 * (1 - q)))
+
+
+# the order cap: at SERIES_MAX_ORDER terms a series whose tail bound is still
+# at or above SERIES_TOL raises, where it used to return a truncated sum
+
+SHEAR = np.array([[-1.0, 1.0], [0.3, -0.3]])
+
+
+def f_reference(ad):
+    """int_0^1 e^{-s ad} ds, the top-right block of expm([[-ad, I], [0, 0]])."""
+    import scipy.linalg
+
+    big = len(ad)
+    block = np.zeros((2 * big, 2 * big))
+    block[:big, :big], block[:big, big:] = -ad, np.eye(big)
+    return scipy.linalg.expm(block)[:big, big:]
+
+
+def test_f_operator_within_the_order_cap_matches_the_integral():
+    # ||ad_X|| = 14.8: 60 terms bring the factorial tail bound below 1e-14
+    x = AlgebraVector(10.0 * SHEAR)
+    np.testing.assert_allclose(f_operator(x), f_reference(ad_operator(x)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale, norm", [(20.0, "29.529646"), (40.0, "59.059292")])
+def test_f_operator_raises_past_the_order_cap(scale, norm):
+    # the truncated sums were off by 3.56 and 6.3e18 on entries of at most 0.78
+    with pytest.raises(NonConvergenceError) as err:
+        f_operator(AlgebraVector(scale * SHEAR))
+    msg = str(err.value)
+    assert f"order {SERIES_MAX_ORDER}" in msg and f"||ad_X|| = {norm}" in msg
+    assert "tail bound" in msg
+
+
+def test_g_operator_raises_past_the_order_cap():
+    # contraction q = 0.831: the 60-term sum was off by 5.5e-10 and its tail
+    # bound is 2.0e-8
+    x = AlgebraVector(0.3 * np.array([[-1.0, 1.0], [0.0, 0.0]]))
+    y = AlgebraVector(0.3 * np.array([[0.0, 0.0], [1.0, -1.0]]))
+    with pytest.raises(NonConvergenceError) as err:
+        g_operator(x, y, 1.0)
+    msg = str(err.value)
+    assert f"order {SERIES_MAX_ORDER}" in msg and "= 0.831181" in msg
+    assert "tail bound 1.978e-08" in msg
+    assert g_tail(0.831181, SERIES_MAX_ORDER) > SERIES_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +281,8 @@ def test_operator_norm_hot_path_vs_svd(rng):
     for _ in range(20):
         x = sample_ball(3, rng.uniform(0.05, 0.5), rng)
         op = ad_operator(x)
-        assert op.norm() == pytest.approx(np.linalg.svd(op.matrix, compute_uv=False)[0],
-                                          abs=1e-10)
+        assert operator_norm(op) == pytest.approx(np.linalg.svd(op, compute_uv=False)[0],
+                                                  abs=1e-10)
 
 
 def test_ad_norm_bounds_svd_at_criterion_3_pair():
@@ -237,7 +290,23 @@ def test_ad_norm_bounds_svd_at_criterion_3_pair():
     # on the second singular value, 0.84% low
     x = sample_ball(3, R_BCH, _pair_rng(7, 8617))
     op = ad_operator(x)
-    assert op.norm() >= np.linalg.svd(op.matrix, compute_uv=False)[0]
+    assert operator_norm(op) >= np.linalg.svd(op, compute_uv=False)[0]
+
+
+# ---------------------------------------------------------------------------
+# single-pair certificates against the one-pair formulas, byte for byte
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_pair_certificates_match_the_one_pair_formulas(d):
+    zero = from_coords(np.zeros(d * d - d), d)
+    for i in range(300):
+        rng = _pair_rng(31, i)
+        x, y = sample_ball(d, R_BCH, rng), sample_ball(d, R_BCH, rng)
+        for a, b in ((x, y), (zero, y), (x, zero), (x, 0.5 * x)):
+            assert reference.cert_bits(verify_log_product(a, b)) == reference.cert_bits(
+                reference.verify_log_product(a, b))
+            assert reference.cert_bits(verify_lipschitz(a, b, 1.3)) == reference.cert_bits(
+                reference.verify_lipschitz(a, b, 1.3))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +326,7 @@ def loop_rows(d, radius, indices, seed):
         rng = _pair_rng(seed, i)
         x = sample_ball(d, radius, rng)
         y = sample_ball(d, radius, rng)
-        ad_norm = svd_norm(ad_operator(x).matrix)
+        ad_norm = svd_norm(ad_operator(x))
         lhs = (log_matrix(exp_matrix(x) @ exp_matrix(y)) - x - y).norm
         rhs = c_constant(ad_norm) * y.norm
         yield (i, x.norm, y.norm, ad_norm, lhs, rhs, bool(lhs <= rhs + CERT_TOL))
@@ -269,8 +338,8 @@ def loop_contraction(d, radius, n_samples, seed):
         rng = _pair_rng(seed, i)
         x = sample_ball(d, radius, rng, surface=True)
         y = sample_ball(d, radius, rng, surface=True)
-        wx = _expm(ad_operator(x).matrix)
-        ad_y = ad_operator(y).matrix
+        wx = _expm(ad_operator(x))
+        ad_y = ad_operator(y)
         for s in (0.25, 0.5, 0.75, 1.0):
             w = wx @ _expm(s * ad_y)
             worst = max(worst, svd_norm(w - np.eye(w.shape[0])))

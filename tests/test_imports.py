@@ -1,15 +1,16 @@
 """Every module-level import in liewalk is read somewhere in its module, and
-every module-level function and constant somewhere in the package; and the
-CLI loads scipy only in the commands that compute with it.
+every module-level function, class and constant somewhere in the package;
+and the CLI loads scipy only in the commands that compute with it.
 
 The package ships with no linter, so this test parses each module under
 src/liewalk with ast and fails on a module-level import whose bound name the
 module never reads.  __init__.py imports to re-export, and a name listed in
 a module's __all__ is exported, so both are exempt.  It also fails on a
-module-level function, public or _private, or ALL-CAPS constant that no
-other statement of the package reads, as a loaded name, an attribute or an
-import: dead code, such as a helper whose last caller has gone.  A public
-function that __init__.py imports is exported and so counts as read.  A
+module-level function or class, public or _private, or ALL-CAPS constant
+that no other statement of the package reads, as a loaded name, an
+attribute or an import: dead code, such as a helper whose last caller has
+gone.  A public function or class that __init__.py imports is exported and
+so counts as read.  A
 method or property of a package class without a base class is dead when
 neither the package nor the tests read its name as an attribute outside its
 own body; a class with a base may override its base's methods (an argparse
@@ -62,13 +63,13 @@ def test_module_imports_are_used(path):
 
 
 def dead_code(sources: dict[str, str]) -> list[str]:
-    """'module: name (line n)' for each module-level function and ALL-CAPS
-    constant that no other top-level statement of any module reads."""
+    """'module: name (line n)' for each module-level function, class and
+    ALL-CAPS constant that no other top-level statement of any module reads."""
     defined, reads = {}, {}
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             where = (module, stmt.lineno)
-            if isinstance(stmt, ast.FunctionDef) and not stmt.name.endswith("__"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.endswith("__"):
                 defined[stmt.name, where] = f"{module}: {stmt.name} (line {stmt.lineno})"
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
@@ -97,12 +98,16 @@ def test_checker_finds_dead_private_code():
                  "def _used():\n    return 1\n\n"
                  "def _by_attribute():\n    return 2\n\n"
                  "def public():\n    return _used()\n\n"
-                 "def orphan():\n    return public()\n"),
-        "b.py": "from .a import _by_attribute\nimport a\nTOTAL = a._by_attribute() + 1\n",
+                 "def orphan():\n    return public()\n\n"
+                 "class Report:\n    pass\n\n"
+                 "class Wrapper:\n    def get(self):\n        return Wrapper()\n"),
+        "b.py": ("from .a import _by_attribute\nimport a\nTOTAL = a._by_attribute() + 1\n"
+                 "a.Report()\n"),
     }
     assert dead_code(sources) == ["a.py: UNUSED (line 2)",
                                   "a.py: _helper (line 4)",
                                   "a.py: orphan (line 16)",
+                                  "a.py: Wrapper (line 22)",
                                   "b.py: TOTAL (line 3)"]
 
 

@@ -34,6 +34,7 @@ from liewalk.lie import (
     operator_norm,
 )
 from liewalk.serialize import algebra_from_jsonable, group_from_jsonable, matrix_to_jsonable
+from bch_reference import from_coords as reference_from_coords
 from expm_reference import expm as reference_expm
 from logm_reference import logm as reference_logm
 
@@ -215,32 +216,32 @@ def test_bracket_closure_row_sums(rng):
 
 def test_ad_zero_operator():
     z = AlgebraVector(np.zeros((2, 2)))
-    assert ad_operator(z).norm() == 0.0
+    assert operator_norm(ad_operator(z)) == 0.0
 
 
 def test_ad_homogeneity(rng):
     x = random_algebra(rng, 3, 0.8)
     for c in (-3.0, 0.5, 7.0):
-        assert np.linalg.svd(ad_operator(c * x).matrix, compute_uv=False)[0] == pytest.approx(
-            abs(c) * np.linalg.svd(ad_operator(x).matrix, compute_uv=False)[0], rel=1e-12)
+        assert np.linalg.svd(ad_operator(c * x), compute_uv=False)[0] == pytest.approx(
+            abs(c) * np.linalg.svd(ad_operator(x), compute_uv=False)[0], rel=1e-12)
 
 
 def test_ad_norm_matches_svd_oracle(rng):
     for _ in range(30):
         x = random_algebra(rng, 3, rng.uniform(0.1, 2.0))
         op = ad_operator(x)
-        assert abs(op.norm() - np.linalg.svd(op.matrix, compute_uv=False)[0]) < 1e-10
+        assert abs(operator_norm(op) - np.linalg.svd(op, compute_uv=False)[0]) < 1e-10
 
 
 def test_ad_norm_lipschitz_in_norm(rng):
     # measure kappa_d once by SVD sweep, then check ||ad_X|| <= kappa |X|
     for d in (2, 3):
-        kappa = max(np.linalg.svd(ad_operator(random_algebra(rng, d, 1.0)).matrix,
+        kappa = max(np.linalg.svd(ad_operator(random_algebra(rng, d, 1.0)),
                                   compute_uv=False)[0]
                     for _ in range(300))
         for _ in range(100):
             x = random_algebra(rng, d, rng.uniform(0.01, 3.0))
-            assert (np.linalg.svd(ad_operator(x).matrix, compute_uv=False)[0]
+            assert (np.linalg.svd(ad_operator(x), compute_uv=False)[0]
                     <= kappa * x.norm * (1 + 1e-9))
 
 
@@ -267,7 +268,7 @@ def test_conjugate_matches_operator_exponential(rng):
         x = random_algebra(rng, 2, rng.uniform(0.05, 0.3))
         y = random_algebra(rng, 2, 1.0)
         lhs = conjugate(exp_matrix(x), y)
-        rhs = from_coords(_expm(ad_operator(x).matrix) @ coords(y), 2)
+        rhs = from_coords(_expm(ad_operator(x)) @ coords(y), 2)
         assert (lhs - rhs).norm < 1e-8
 
 
@@ -354,20 +355,27 @@ def test_operator_norm_small_operators(rng):
     for scale in (3e-7, 1e-9):
         for _ in range(10):
             op = ad_operator(random_algebra(rng, 3, scale))
-            assert op.norm() == pytest.approx(np.linalg.svd(op.matrix, compute_uv=False)[0],
+            assert operator_norm(op) == pytest.approx(np.linalg.svd(op, compute_uv=False)[0],
                                               rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_from_coords_matches_one_tensordot(rng, d):
+    for scale in 10.0 ** rng.uniform(-9, 1, 300):
+        c = scale * rng.standard_normal(d * d - d)
+        assert from_coords(c, d).entries.tobytes() == reference_from_coords(c, d).entries.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ad_stack_bit_identical_to_ad_operator(rng, d):
     xs = np.array([random_algebra(rng, d, scale).entries
                    for scale in 10.0 ** rng.uniform(-9, 0.5, 24)])
-    looped = np.array([ad_operator(AlgebraVector(x)).matrix for x in xs])
+    looped = np.array([ad_operator(AlgebraVector(x)) for x in xs])
     assert np.array_equal(_ad_stack(xs), looped)
     assert np.array_equal(_ad_stack(xs.reshape(4, 6, d, d)).reshape(looped.shape), looped)
     norms = operator_norm(looped)
     assert norms.shape == (24,)
-    assert np.array_equal(norms, [ad_operator(AlgebraVector(x)).norm() for x in xs])
+    assert np.array_equal(norms, [operator_norm(ad_operator(AlgebraVector(x))) for x in xs])
 
 
 def test_operator_norm_bounds_40_digit_svd_from_above(rng):
@@ -375,7 +383,7 @@ def test_operator_norm_bounds_40_digit_svd_from_above(rng):
     with mpmath.workdps(40):
         for d in (2, 3):
             for scale in np.geomspace(1e-9, 0.5, 100):
-                m = ad_operator(random_algebra(rng, d, scale)).matrix
+                m = ad_operator(random_algebra(rng, d, scale))
                 exact = max(mpmath.svd_r(mpmath.matrix(m.tolist()), compute_uv=False))
                 assert operator_norm(m) >= exact
 

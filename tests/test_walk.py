@@ -23,7 +23,9 @@ from liewalk import (
 from liewalk.bch import sample_ball
 from liewalk.cli import main
 from liewalk.lie import GroupElement
+import bch_reference as reference
 from logm_reference import logm as reference_logm
+from test_legendre import generator_law_3x3
 
 
 def test_point_mass_walk_is_one_parameter():
@@ -268,6 +270,21 @@ def test_kappa_support_two_state(dist):
     assert kappa_support(dist) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_kappa_support_matches_the_atom_loop(dist):
+    law = generator_law_3x3()
+    with_zero = IncrementDistribution(atoms=(*law.atoms, AlgebraVector(np.zeros((3, 3)))),
+                                      weights=(0.2,) * 5)
+    for d in (dist, law, with_zero):
+        got, want = kappa_support(d), reference.kappa_support(d)
+        assert type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert kappa_support(dist) == 1.0000000000000013
+
+
+def test_kappa_support_of_a_point_mass_at_zero_is_zero():
+    law = IncrementDistribution.point_mass(AlgebraVector(np.zeros((2, 2))))
+    assert kappa_support(law) == 0.0 and type(kappa_support(law)) is float
+
+
 # ---------------------------------------------------------------------------
 # repeated exponential continuity
 
@@ -308,6 +325,19 @@ def test_continuity_constant_stable_across_m():
         ys = [x + sample_ball(2, 0.04 / m, rng) for x in xs]
         ys = [y if y.norm <= 0.5 / m else (0.5 / m / y.norm) * y for y in ys]
         assert psi_m_continuity_check(xs, ys, 0.5, 1.1 * c).passed
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_continuity_matches_the_segment_list_formulas(rng, d):
+    for m in (1, 4, 16):
+        got = estimate_continuity_constant(d, r=0.5, m=m, n_pairs=60, seed=7)
+        want = reference.estimate_continuity_constant(d, 0.5, m, 60, 7)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for _ in range(20):
+            xs = [sample_ball(d, 0.5 / m, rng) for _ in range(m)]
+            ys = [sample_ball(d, 0.5 / m, rng) for _ in range(m)]
+            assert reference.cert_bits(psi_m_continuity_check(xs, ys, 0.5, 1.2)) == (
+                reference.cert_bits(reference.psi_m_continuity_check(xs, ys, 1.2)))
 
 
 def test_continuity_norm_precondition(rng):
