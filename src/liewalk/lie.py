@@ -181,8 +181,8 @@ def _ball_coords(d: int, radius: float, rng: np.random.Generator,
                  surface: bool = False) -> np.ndarray:
     """Coordinates of a random direction, norm uniform on [0, radius] (radius if surface)."""
     c = rng.standard_normal(algebra_dim(d))
-    r = radius if surface else rng.uniform(0.0, radius)
-    return c * (r / np.linalg.norm(c))
+    r = radius if surface else radius * rng.random()
+    return c * (r / np.sqrt(c @ c))
 
 
 def _coords_to_matrices(c: np.ndarray, d: int) -> np.ndarray:
@@ -367,10 +367,11 @@ def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
 
 def _ad_stack(x: np.ndarray) -> np.ndarray:
     """Ad matrices of a (..., d, d) stack, each in the basis of algebra_basis(d)."""
-    stack = _basis_stack(x.shape[-1])
+    d = x.shape[-1]
+    stack = _basis_stack(d)
     x = x[..., None, :, :]
     xb = x @ stack - stack @ x  # (..., D, d, d), bracket with each basis element
-    xb = np.swapaxes(xb.reshape(*xb.shape[:-2], -1), -1, -2)
+    xb = np.swapaxes(xb.reshape(*xb.shape[:-2], d * d), -1, -2)
     return stack.reshape(len(stack), -1) @ xb  # column j = coords of [X, B_j]
 
 

@@ -9,6 +9,14 @@ by one doubling scan (``_kernels.partial_products``): on the 2x2
 unit-row-sum group, from 128 steps on, a scan of the steps' affine maps of
 the first column, and otherwise a scan of stacked matmuls.
 
+Prefix, step and segment logs are taken a stack at a time.  On the 2x2
+unit-row-sum group each log is the closed form log(s)/(s - 1) * (M - I)
+(``_kernels.stoch2_logs``), and the step displacements come from the
+explicit 2x2 inverse (``_kernels.displacements``).  Larger groups, stacks
+off the group and stacks with a matrix outside the closed form's domain
+take the Denman-Beavers and Mercator log (``lie._logm_stack``), whose
+reason names the first matrix without a log.
+
 Reproducibility: a trajectory is a pure function of (distribution, n,
 seed); increments are drawn by inverse CDF from a PCG64 stream seeded with
 ``numpy.random.SeedSequence(seed)``.  Parallel chains should use child
@@ -20,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import partial_products
+from ._kernels import _row_sum_error, displacements, partial_products, stoch2_logs
 from .bch import BoundCertificate, _pair_rng, c_constant
 from .distributions import IncrementDistribution
 from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
 from .lie import (
     AlgebraVector,
     GroupElement,
+    MEMBERSHIP_TOL,
     _ad_stack,
     _ball_coords,
     _coords_to_matrices,
@@ -74,8 +83,7 @@ class WalkTrajectory:
 
     def step_logs(self) -> np.ndarray:
         """Logs of the n one-step displacements point(k-1)^-1 point(k)."""
-        pts = self.points
-        return _logs_or_raise(np.linalg.solve(pts[:-1], pts[1:]), lambda k: "")
+        return _logs_or_raise(displacements(self.points), lambda k: "")
 
     @property
     def endpoint(self) -> GroupElement:
@@ -85,9 +93,16 @@ class WalkTrajectory:
 def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
     """Logs of a (n, d, d) stack, raising at the first matrix without one.
 
-    The OutOfDomainError carries that matrix's reason from _logm_stack after
-    context(i), where i is the matrix's 1-based position in the stack.
+    A 2x2 stack with unit row sums within MEMBERSHIP_TOL takes the closed
+    form stoch2_logs if every matrix has its log there; every other stack
+    takes _logm_stack.  The OutOfDomainError carries the matrix's reason from
+    _logm_stack after context(i), where i is the matrix's 1-based position
+    in the stack.
     """
+    if mats.shape[-1] == 2 and _row_sum_error(mats) <= MEMBERSHIP_TOL:
+        logs, ok = stoch2_logs(mats)
+        if ok.all():
+            return logs
     logs, ok, reasons = _logm_stack(mats)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -135,6 +150,7 @@ def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
     block = traj.n // m
     bounds = tuple(l * block for l in range(m)) + (traj.n,)
     pts = traj.points[list(bounds)]
+    # m displacements, too few for the explicit inverse to save time
     logs = _logs_or_raise(
         np.linalg.solve(pts[:-1], pts[1:]),
         lambda l: (f"segment {l} displacement is outside the log domain; "

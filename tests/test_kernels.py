@@ -4,13 +4,26 @@ import numpy as np
 import pytest
 
 from liewalk import AlgebraVector, IncrementDistribution, _kernels, simulate_walk
-from liewalk._kernels import indexed_products, partial_products, stoch2_log_norms
+from liewalk._kernels import (
+    displacements,
+    indexed_products,
+    partial_products,
+    stoch2_log_norms,
+    stoch2_logs,
+)
 from liewalk.errors import InvalidArgumentError
 from liewalk.lie import OutOfDomainError, _expm, _logm
 from logm_reference import logm as reference_logm
 from products_reference import matmul_scan
 from products_reference import partial_products as looped_partial_products
 from products_reference import stoch2_partial_products_longdouble, stoch2_products
+from stoch2_reference import (
+    LOG_ATOL,
+    LOG_RTOL,
+    explicit_solve,
+    stoch2_log,
+    stoch2_logs_longdouble,
+)
 
 
 @pytest.fixture()
@@ -280,3 +293,84 @@ def test_stoch2_log_norms_out_of_domain():
     with pytest.raises(OutOfDomainError):
         _logm(bad[0])
 
+
+
+# ---------------------------------------------------------------------------
+# closed-form logs and explicit displacements on the 2x2 group
+
+def stoch2_stack(p, q):
+    """The unit-row-sum matrices [[1 - p, p], [q, 1 - q]] as a (n, 2, 2) stack."""
+    return np.stack([np.stack([1 - p, p], -1), np.stack([q, 1 - q], -1)], -2)
+
+
+def closed_form_rows(rng, s_min):
+    """2x2 group elements: exponentials of random two-state generators;
+    near-identity rows, whose |s - 1| < 1e-6 takes the series; rows with s
+    from s_min to 1/2; and rows with M - I nilpotent (s = 1).  Entries of all
+    but the exponentials lie on a 2^-30 (near I, 2^-52) grid, so their row
+    sums are exactly 1 and s = M00 - M10 exactly."""
+    rates = rng.standard_normal((200, 2)) * 0.8
+    exps = _expm(stoch2_stack(rates[:, 0], rates[:, 1]) - np.eye(2))
+    near = rng.integers(-2**29, 2**29, size=(2, 100)) * 2.0**-52
+    s = np.round(2.0 ** rng.uniform(np.log2(s_min), -1, 100) * 2**30) / 2**30
+    p = np.round(rng.random(100) * (1 - s) * 2**30) / 2**30
+    nil = np.round(rng.uniform(-1, 1, 50) * 2**30) / 2**30
+    mats = np.concatenate([exps, stoch2_stack(*near), stoch2_stack(p, 1 - p - s),
+                           stoch2_stack(nil, -nil)])
+    s = mats[:, 0, 0] - mats[:, 1, 0]
+    assert (s > 0).all() and (np.abs(s[200:300] - 1) < 1e-6).all() and (s[-50:] == 1).all()
+    return mats
+
+
+def test_stoch2_logs_match_the_per_matrix_loop(rng):
+    # the loop loses accuracy below s = 2^-10 (2.1e-12 relative near 1e-6)
+    mats = closed_form_rows(rng, 2.0**-10)
+    logs, ok = stoch2_logs(mats)
+    assert ok.all()
+    for got, g in zip(logs, mats):
+        ref = reference_logm(g)
+        assert np.linalg.norm(got - ref) <= LOG_RTOL * np.linalg.norm(ref) + LOG_ATOL
+        assert np.array_equal(got, stoch2_log(g))
+
+
+def test_stoch2_logs_against_longdouble(rng):
+    # measured: within 1.4 ulps of each row's largest entry
+    mats = closed_form_rows(rng, 2.0**-20)
+    logs, ok = stoch2_logs(mats)
+    assert ok.all()
+    want = stoch2_logs_longdouble(mats)
+    err = np.abs(logs - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert float(err.max()) <= 2 * np.finfo(float).eps
+
+
+def test_stoch2_logs_flag_rows_without_a_log(rng):
+    good = closed_form_rows(rng, 2.0**-10)[:6]
+    bad = np.array([[[0.5, 0.5], [0.5, 0.5]],      # s = 0, singular
+                    [[0.2, 0.8], [0.9, 0.1]],      # s = -0.7
+                    [[np.nan, 0.5], [0.5, 0.5]],
+                    [[1.0, 0.0], [np.inf, -np.inf]],
+                    [[1.0, np.inf], [0.0, 1.0]]])  # s = 1, one entry infinite
+    mats = np.concatenate([good[:3], bad, good[3:]])
+    logs, ok = stoch2_logs(mats)
+    assert ok.tolist() == [True] * 3 + [False] * 5 + [True] * 3
+    assert np.isnan(logs[3:8]).all()
+    assert np.array_equal(logs[ok], stoch2_logs(good)[0])
+
+
+def test_displacements_2x2_take_the_explicit_inverse(rng):
+    pts = partial_products(two_state_steps(1.0, 500, 3))
+    got = displacements(pts)
+    for k in range(500):
+        assert np.array_equal(got[k], explicit_solve(pts[k], pts[k + 1]))
+    np.testing.assert_allclose(got, np.linalg.solve(pts[:-1], pts[1:]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_displacements_fall_back_to_solve(rng, d):
+    # a zero determinant, or any 3x3 stack, takes np.linalg.solve with its error
+    pts = np.eye(d) + rng.uniform(-0.1, 0.1, size=(6, d, d))
+    if d == 3:
+        assert np.array_equal(displacements(pts), np.linalg.solve(pts[:-1], pts[1:]))
+    pts[2] = 0.5
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        displacements(pts)

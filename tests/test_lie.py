@@ -378,6 +378,29 @@ def test_ad_stack_bit_identical_to_ad_operator(rng, d):
     assert np.array_equal(norms, [operator_norm(ad_operator(AlgebraVector(x))) for x in xs])
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_ad_stack_of_an_empty_stack_is_empty(d):
+    dim = d * d - d
+    assert _ad_stack(np.zeros((0, d, d))).shape == (0, dim, dim)
+    assert _ad_stack(np.zeros((3, 0, d, d))).shape == (3, 0, dim, dim)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("surface", [False, True])
+def test_ball_coords_draw_what_uniform_and_norm_drew(d, surface):
+    # radius * random() is numpy's uniform(0, radius) = 0 + radius * random(),
+    # and sqrt(c @ c) is np.linalg.norm of a real vector
+    def old_ball_coords(radius, rng):
+        c = rng.standard_normal(d * d - d)
+        r = radius if surface else rng.uniform(0.0, radius)
+        return c * (r / np.linalg.norm(c))
+
+    got_rng, old_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for radius in np.random.default_rng(12).uniform(0.0, 3.0, 2000):
+        got = _ball_coords(d, radius, got_rng, surface)
+        assert got.tobytes() == old_ball_coords(radius, old_rng).tobytes()
+
+
 def test_operator_norm_bounds_40_digit_svd_from_above(rng):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):

@@ -22,9 +22,12 @@ from liewalk import (
 )
 from liewalk.bch import sample_ball
 from liewalk.cli import main
-from liewalk.lie import GroupElement
+from liewalk._kernels import stoch2_logs
+from liewalk.lie import GroupElement, _expm
+from liewalk.walk import _logs_or_raise
 import bch_reference as reference
 from logm_reference import logm as reference_logm
+from stoch2_reference import LOG_ATOL, LOG_RTOL, explicit_solve, stoch2_log
 from test_legendre import generator_law_3x3
 
 
@@ -194,7 +197,7 @@ def test_replacement_rejects_m_outside_one_to_n(dist, m):
         replacement_deviation(traj, m)
 
 
-def _looped_replacement(traj, m):
+def _looped_replacement(traj, m, logm=reference_logm):
     """The per-step loop the stacked certificate replaces: (max_deviation, argmax_k)."""
     n = traj.n
     k_max = n // m
@@ -202,7 +205,7 @@ def _looped_replacement(traj, m):
     worst, arg = -1.0, 0
     for k in range(1, k_max + 1):
         try:
-            lg = reference_logm(traj.point(k))
+            lg = logm(traj.point(k))
         except OutOfDomainError as exc:
             raise OutOfDomainError(f"prefix log undefined at k={k}: {exc}")
         dev = float(np.linalg.norm(lg - cums[k - 1]))
@@ -211,19 +214,32 @@ def _looped_replacement(traj, m):
     return worst, arg
 
 
-def _looped_segment_logs(traj, m):
+def _looped_segment_logs(traj, m, logm=reference_logm):
     block = traj.n // m
     bounds = [l * block for l in range(m)] + [traj.n]
-    return [reference_logm(np.linalg.solve(traj.point(lo), traj.point(hi)))
+    return [logm(np.linalg.solve(traj.point(lo), traj.point(hi)))
             for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _assert_matches_loop(traj, m):
+    """A 2x2 walk's certificate and segment logs are byte for byte those of
+    the one-matrix closed form, and within LOG_RTOL of the Mercator loop's;
+    a larger walk's are byte for byte the Mercator loop's."""
     cert = replacement_deviation(traj, m)
-    assert (cert.max_deviation, cert.argmax_k) == _looped_replacement(traj, m)
-    seg = segment_decomposition(traj, m)
-    for y, ref in zip(seg.segment_logs, _looped_segment_logs(traj, m)):
-        np.testing.assert_array_equal(y.entries, ref)
+    seg = [y.entries for y in segment_decomposition(traj, m).segment_logs]
+    mercator = _looped_replacement(traj, m)
+    if traj.dim > 2:
+        assert (cert.max_deviation, cert.argmax_k) == mercator
+        np.testing.assert_array_equal(seg, _looped_segment_logs(traj, m))
+        return
+    assert (cert.max_deviation, cert.argmax_k) == _looped_replacement(traj, m, stoch2_log)
+    np.testing.assert_array_equal(seg, _looped_segment_logs(traj, m, stoch2_log))
+    # every prefix log is within LOG_RTOL |log| of the loop's, and |log| is
+    # at most the support bound (up to BCH terms far below it)
+    assert cert.argmax_k == mercator[1]
+    assert abs(cert.max_deviation - mercator[0]) <= LOG_RTOL * traj.dist.support_bound
+    for y, ref in zip(seg, _looped_segment_logs(traj, m)):
+        assert np.linalg.norm(y - ref) <= LOG_RTOL * np.linalg.norm(ref) + LOG_ATOL
 
 
 @pytest.mark.parametrize("m", [1, 20])
@@ -240,12 +256,45 @@ def test_stacked_certificate_matches_loop_checkpointed(dist):
 
 
 def test_stacked_certificate_matches_loop_far_prefixes():
-    # large atoms at small n: later prefixes lie beyond the Mercator switch
-    # and take square roots before the Mercator series, the first ones do not
+    # large atoms at small n: later prefixes lie beyond the Mercator switch,
+    # where the loop takes square roots before its series, the first ones do not
     traj = simulate_walk(example_model(3.0, 3.0).distribution(), 40, seed=39)
     offsets = np.linalg.norm(traj.points[1:] - np.eye(2), axis=(1, 2))
     assert offsets.min() < 0.25 <= offsets.max()
     _assert_matches_loop(traj, 1)
+
+
+@pytest.mark.parametrize("m", [1, 20])
+def test_stacked_certificate_of_a_3x3_walk_is_the_loop(m):
+    traj = simulate_walk(generator_law_3x3(), 400, seed=41)
+    offsets = np.linalg.norm(traj.points[1:] - np.eye(3), axis=(1, 2))
+    assert offsets.min() < 0.25 <= offsets.max()
+    _assert_matches_loop(traj, m)
+    pts = traj.points
+    looped = [reference_logm(np.linalg.solve(pts[k - 1], pts[k])) for k in range(1, traj.n + 1)]
+    assert np.array_equal(traj.step_logs(), looped)
+
+
+def test_step_logs_of_a_2x2_walk_are_the_closed_form(dist):
+    traj = simulate_walk(dist, 2000, seed=43)
+    pts, got = traj.points, traj.step_logs()
+    for k in range(1, traj.n + 1):
+        assert np.array_equal(got[k - 1], stoch2_log(explicit_solve(pts[k - 1], pts[k])))
+
+
+@pytest.mark.parametrize("bad", [[[0.2, 0.8], [0.9, 0.1]], [[0.5, 0.5], [0.5, 0.5]]],
+                         ids=["s=-0.7", "s=0"])
+def test_2x2_stack_without_a_log_raises_the_loop_message(bad):
+    # a row with s <= 0 sends the whole stack to the Denman-Beavers and
+    # Mercator path, whose reason the error carries as before
+    good = _expm(np.array([[[-0.3, 0.3], [0.1, -0.1]], [[-1.0, 1.0], [2.0, -2.0]]]))
+    mats = np.concatenate([good, [bad], good])
+    assert np.array_equal(stoch2_logs(mats)[1], [True, True, False, True, True])
+    with pytest.raises(OutOfDomainError) as looped:
+        reference_logm(np.array(bad))
+    with pytest.raises(OutOfDomainError) as stacked:
+        _logs_or_raise(mats, lambda i: f"row {i}: ")
+    assert str(stacked.value) == f"row 3: {looped.value}"
 
 
 def test_stacked_certificate_out_of_domain_names_k():
