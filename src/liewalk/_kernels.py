@@ -1,10 +1,11 @@
 """Hot numeric kernels on stacks of matrices, in numpy.
 
 ``partial_products`` and ``indexed_products`` multiply step matrices in
-left-to-right order; ``stoch2_logs`` and ``stoch2_log_norms`` take the
-principal logs of 2x2 unit-row-sum matrices, and their norms, in closed
-form; ``displacements`` divides consecutive points of a stack, a 2x2 one by
-the explicit inverse.  Both product kernels treat a 2x2
+left-to-right order; ``stoch2_log_norms`` takes the norms of the principal
+logs of 2x2 unit-row-sum matrices, through the closed form's factor
+``lie._log_factor`` with s = M00 - M10, as ``lie._logm_stack`` takes the logs
+themselves; ``displacements`` divides consecutive points of a stack, a 2x2
+one by the explicit inverse.  Both product kernels treat a 2x2
 unit-row-sum step as the affine map x -> a x + b of the product's first
 column; the composition rule and the rebuild of a matrix from its composed
 map are written once, in ``_chain`` and ``_stoch2_matrices``.
@@ -32,13 +33,12 @@ step.
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .lie import MEMBERSHIP_TOL
+from .lie import MEMBERSHIP_TOL, _log_factor
 
 __all__ = [
     "partial_products",
     "indexed_products",
     "stoch2_log_norms",
-    "stoch2_logs",
     "displacements",
 ]
 
@@ -245,50 +245,14 @@ def _compose(a: np.ndarray, b: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# principal logs of 2x2 unit-row-sum matrices, and their norms for batches
-#
-# A 2x2 matrix M with unit row sums has eigenvalues {1, s} with
-# s = tr(M) - 1 = M00 - M10, and N = M - I satisfies N^2 = (s - 1) N, so its
-# principal logarithm (defined iff s > 0) is the polynomial
-# log(M) = log(s)/(s - 1) * (M - I).  ``stoch2_logs`` reads s as M00 - M10,
-# one subtraction, exact where M00 and M10 lie within a factor 2 of each
-# other; tr(M) - 1 rounds twice and cancels where s is small, and against
-# 40-digit logs of walk prefixes at rates 10 it is 18x less accurate
-# (2.2e-13 relative, against 1.25e-14).  ``stoch2_log_norms`` keeps
-# tr(M) - 1, the Monte Carlo distances it has always given.
-
-def _log_factor(s: np.ndarray) -> np.ndarray:
-    """log(s)/(s - 1), by its series for |s - 1| < 1e-6; 0 where s <= 0."""
-    e = s - 1.0
-    small = np.abs(e) < 1e-6
-    # series of log(1+e)/e for tiny e; full expression elsewhere
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(small,
-                     1.0 - e / 2.0 + e * e / 3.0 - e * e * e / 4.0,
-                     np.log(np.where(s > 0, s, 1.0)) / np.where(small, 1.0, e))
-    return f
-
-
-def stoch2_logs(mats: np.ndarray):
-    """Principal logs of a (n, 2, 2) unit-row-sum stack, as (logs, ok).
-
-    Each log is log(s)/(s - 1) * (M - I) with s = M00 - M10; ok is False,
-    and the log NaN, where s <= 0 or the matrix has a non-finite entry.
-    The caller vouches for the unit row sums.
-    """
-    mats = np.asarray(mats, dtype=np.float64)
-    s = mats[:, 0, 0] - mats[:, 1, 0]
-    ok = (s > 0) & np.isfinite(mats).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf in rows not ok
-        logs = _log_factor(s)[:, None, None] * (mats - np.eye(2))
-    return np.where(ok[:, None, None], logs, np.nan), ok
-
+# norms of the principal logs of 2x2 unit-row-sum matrices, for batches
 
 def stoch2_log_norms(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the principal logs of a (n, 2, 2) stack; +inf
-    outside the log domain."""
+    """Frobenius norms of the principal logs of a (n, 2, 2) unit-row-sum
+    stack, |log(s)/(s - 1)| ||M - I||_F with s = M00 - M10 as _logm_stack
+    reads it; +inf where s <= 0.  The caller vouches for the unit row sums."""
     mats = np.ascontiguousarray(mats, dtype=np.float64)
-    s = mats[:, 0, 0] + mats[:, 1, 1] - 1.0
+    s = mats[:, 0, 0] - mats[:, 1, 0]
     f = _log_factor(s)
     e00 = mats[:, 0, 0] - 1.0
     e01 = mats[:, 0, 1]

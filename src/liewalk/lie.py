@@ -3,11 +3,13 @@
 Group elements are invertible d x d matrices with unit row sums; algebra
 elements are d x d matrices with zero row sums, carrying the Frobenius
 inner product.  The module provides the exponential (scaling-and-squaring
-with a degree-7 Pade core), the principal logarithm (inverse scaling and
-squaring: Denman-Beavers square roots until ||g - I||_F < 0.25, then a
-truncated Mercator series with an explicit tail bound), brackets, adjoint
+with a degree-7 Pade core), the principal logarithm, brackets, adjoint
 operators, conjugation, and the left-invariant distance proxy
-|log(g^-1 h)|_F.
+|log(g^-1 h)|_F.  Every log is a row of _logm_stack, which gives a 2x2
+unit-row-sum matrix with s = M00 - M10 > 0 the closed form
+log(s)/(s - 1) * (M - I), and every other matrix inverse scaling and
+squaring (Denman-Beavers square roots until ||g - I||_F < 0.25, then a
+truncated Mercator series with an explicit tail bound).
 
 An adjoint operator is a plain (D, D) array, D = d^2 - d, in the frame of
 algebra_basis(d): ad_operator(x) maps coords(y) to coords([x, y]), and
@@ -289,23 +291,49 @@ def _sqrtm_db(a: np.ndarray, max_iter: int = 80, tol: float = 1e-14):
     return roots, reasons
 
 
+def _log_factor(s: np.ndarray) -> np.ndarray:
+    """log(s)/(s - 1), by its series for |s - 1| < 1e-6; 0 where s <= 0."""
+    e = s - 1.0
+    small = np.abs(e) < 1e-6
+    # series of log(1+e)/e for tiny e; full expression elsewhere
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(small,
+                     1.0 - e / 2.0 + e * e / 3.0 - e * e * e / 4.0,
+                     np.log(np.where(s > 0, s, 1.0)) / np.where(small, 1.0, e))
+    return f
+
+
 def _logm_stack(g: np.ndarray, max_sqrt: int = 60):
     """Principal logarithm of each matrix of a (n, d, d) stack.
 
-    Returns (logs, ok, reasons).  A matrix takes k square roots until
-    a = g^(1/2^k) has ||a - I||_F < _MERCATOR_SWITCH, and its log is 2^k times
-    the Mercator series log(I + E) = sum_m (-1)^{m+1} E^m / m, E = a - I, up to
-    the first m >= 2 whose tail bound ||E||^{m+1} / ((m+1)(1 - ||E||)) is below
-    1e-17, or m = 81.  Where a matrix has a non-finite entry, has no principal
-    log, or is not that close to I after max_sqrt roots, ok is False, its log
-    is NaN and reasons[i] says why.
+    Returns (logs, ok, reasons).  A 2x2 matrix M with finite entries, row
+    sums within MEMBERSHIP_TOL of 1 and s = M00 - M10 > 0 has eigenvalues
+    {1, s}, and (M - I)^2 = (s - 1)(M - I), so its log is the closed form
+    log(s)/(s - 1) * (M - I).  Every other matrix takes k square roots until
+    a = g^(1/2^k) has ||a - I||_F < _MERCATOR_SWITCH, and its log is 2^k
+    times the Mercator series log(I + E) = sum_m (-1)^{m+1} E^m / m,
+    E = a - I, up to the first m >= 2 whose tail bound
+    ||E||^{m+1} / ((m+1)(1 - ||E||)) is below 1e-17, or m = 81.  Where a
+    matrix has a non-finite entry, has no principal log, or is not that
+    close to I after max_sqrt roots, ok is False, its log is NaN and
+    reasons[i] says why.
     """
-    ident = np.eye(g.shape[-1])
-    a = np.array(g, dtype=np.float64)
+    a = np.asarray(g, dtype=np.float64)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if a.shape[-1] == 2:
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf, in rows replaced below
+            s = a[:, 0, 0] - a[:, 1, 0]
+            closed = (finite & (s > 0)
+                      & (np.abs(a[:, :, 0] + a[:, :, 1] - 1.0) <= MEMBERSHIP_TOL).all(axis=1))
+            logs = _log_factor(s)[:, None, None] * (a - np.eye(2))
+    else:
+        closed, logs = np.zeros(len(a), dtype=bool), np.empty_like(a)
+    index = np.flatnonzero(~closed)  # the loop's rows; it keys reasons by place in index
+    a, finite = a[index], finite[index]
+    ident = np.eye(a.shape[-1])
     e = a - ident
     norm_e = _frobenius_norms(e)
     k = np.zeros(len(a), dtype=np.int64)
-    finite = np.isfinite(a).all(axis=(-2, -1))
     reasons = {int(i): "matrix logarithm: non-finite entries" for i in np.nonzero(~finite)[0]}
     live = np.nonzero(finite & (norm_e >= _MERCATOR_SWITCH))[0]
     while live.size:  # every live matrix has taken the same number of roots
@@ -320,12 +348,9 @@ def _logm_stack(g: np.ndarray, max_sqrt: int = 60):
         norm_e[live] = _frobenius_norms(e[live])
         k[live] += 1
         live = live[norm_e[live] >= _MERCATOR_SWITCH]  # NaN rows (no root) drop out
-    ok = np.ones(len(a), dtype=bool)
-    if reasons:
-        ok[list(reasons)] = False
-        e[~ok] = norm_e[~ok] = 0.0  # a one-term series; their logs are set to NaN below
-    logs = np.empty_like(e)
-    rows, total, term, gap, m = np.arange(len(a)), e.copy(), e, 1.0 - norm_e, 1
+    bad = list(reasons)
+    e[bad] = norm_e[bad] = 0.0  # a one-term series; their logs are set to NaN below
+    rows, total, term, gap, m = index, e.copy(), e, 1.0 - norm_e, 1
     while rows.size:  # a matrix leaves the series where its tail bound says
         m += 1
         term = term @ e
@@ -337,9 +362,10 @@ def _logm_stack(g: np.ndarray, max_sqrt: int = 60):
                 break
             rows, e, term, total, norm_e, gap, k = (
                 v[~stop] for v in (rows, e, term, total, norm_e, gap, k))
-    if reasons:
-        logs[~ok] = np.nan
-    return logs, ok, reasons
+    ok = np.ones(len(logs), dtype=bool)
+    ok[index[bad]] = False
+    logs[~ok] = np.nan
+    return logs, ok, {int(index[i]): msg for i, msg in reasons.items()}
 
 
 def _logm(g: np.ndarray) -> np.ndarray:

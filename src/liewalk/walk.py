@@ -9,13 +9,11 @@ by one doubling scan (``_kernels.partial_products``): on the 2x2
 unit-row-sum group, from 128 steps on, a scan of the steps' affine maps of
 the first column, and otherwise a scan of stacked matmuls.
 
-Prefix, step and segment logs are taken a stack at a time.  On the 2x2
-unit-row-sum group each log is the closed form log(s)/(s - 1) * (M - I)
-(``_kernels.stoch2_logs``), and the step displacements come from the
-explicit 2x2 inverse (``_kernels.displacements``).  Larger groups, stacks
-off the group and stacks with a matrix outside the closed form's domain
-take the Denman-Beavers and Mercator log (``lie._logm_stack``), whose
-reason names the first matrix without a log.
+Prefix, step and segment logs are taken a stack at a time by
+``lie._logm_stack`` (the closed form on the 2x2 unit-row-sum group); an
+error names the first matrix without a log, or the step of a walk point
+that is singular in float64.  The step displacements of a 2x2 walk come
+from the explicit inverse (``_kernels.displacements``).
 
 Reproducibility: a trajectory is a pure function of (distribution, n,
 seed); increments are drawn by inverse CDF from a PCG64 stream seeded with
@@ -28,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _row_sum_error, displacements, partial_products, stoch2_logs
+from ._kernels import displacements, partial_products
 from .bch import BoundCertificate, _pair_rng, c_constant
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
+from .errors import InvalidArgumentError, OutOfDomainError, SingularMatrixError, _positive_int
 from .lie import (
     AlgebraVector,
     GroupElement,
-    MEMBERSHIP_TOL,
     _ad_stack,
     _ball_coords,
     _coords_to_matrices,
@@ -83,26 +80,30 @@ class WalkTrajectory:
 
     def step_logs(self) -> np.ndarray:
         """Logs of the n one-step displacements point(k-1)^-1 point(k)."""
-        return _logs_or_raise(displacements(self.points), lambda k: "")
+        return _logs_or_raise(_displacements(self.points, range(self.n + 1), explicit=True),
+                              lambda k: "")
 
     @property
     def endpoint(self) -> GroupElement:
         return GroupElement(self.point(self.n))
 
 
-def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
-    """Logs of a (n, d, d) stack, raising at the first matrix without one.
+def _displacements(pts: np.ndarray, ks, explicit: bool = False) -> np.ndarray:
+    """pts[j]^-1 pts[j + 1] for walk points pts at steps ks, by displacements
+    if explicit, else by np.linalg.solve; a singular pts[j] raises
+    SingularMatrixError naming step ks[j]."""
+    try:
+        return displacements(pts) if explicit else np.linalg.solve(pts[:-1], pts[1:])
+    except np.linalg.LinAlgError:
+        # the solve's own LU factors: its exactly zero pivot is a zero determinant
+        j = int(np.argmin(np.abs(np.linalg.det(pts[:-1]))))
+        raise SingularMatrixError(f"walk point k={ks[j]} is singular") from None
 
-    A 2x2 stack with unit row sums within MEMBERSHIP_TOL takes the closed
-    form stoch2_logs if every matrix has its log there; every other stack
-    takes _logm_stack.  The OutOfDomainError carries the matrix's reason from
-    _logm_stack after context(i), where i is the matrix's 1-based position
-    in the stack.
-    """
-    if mats.shape[-1] == 2 and _row_sum_error(mats) <= MEMBERSHIP_TOL:
-        logs, ok = stoch2_logs(mats)
-        if ok.all():
-            return logs
+
+def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
+    """Logs of a (n, d, d) stack by _logm_stack, raising at the first matrix
+    without one an OutOfDomainError with its reason after context(i), where
+    i is the matrix's 1-based position in the stack."""
     logs, ok, reasons = _logm_stack(mats)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -141,8 +142,9 @@ class SegmentDecomposition:
         hi = self.boundaries[l]
         if not 1 <= k <= hi - lo:
             raise InvalidArgumentError(f"k must lie in [1, {hi - lo}] for segment {l}")
-        rel = np.linalg.solve(self.traj.point(lo), self.traj.point(lo + k))
-        return AlgebraVector(_logm(rel))
+        ks = (lo, lo + k)
+        rel = _displacements(self.traj.points[list(ks)], ks)
+        return AlgebraVector(_logm(rel[0]))
 
 
 def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
@@ -152,7 +154,7 @@ def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
     pts = traj.points[list(bounds)]
     # m displacements, too few for the explicit inverse to save time
     logs = _logs_or_raise(
-        np.linalg.solve(pts[:-1], pts[1:]),
+        _displacements(pts, bounds),
         lambda l: (f"segment {l} displacement is outside the log domain; "
                    f"increase m (currently {m}): "))
     return SegmentDecomposition(traj=traj, m=m, boundaries=bounds,

@@ -4,8 +4,8 @@ Test-local copies of the loops that liewalk ran before its conjugate took
 stacks: the damped Newton on one target at a time, and the quadrature that
 takes one velocity and one legendre() call per node (a closed-form path's
 velocity from its formula at one time, a sampled path's from its own
-segment log, taken per matrix).  Tests compare liewalk's stacked code
-with these loops bit for bit.
+segment log, taken per matrix by ``logm_reference.principal_log``).  Tests
+compare liewalk's stacked code with these loops bit for bit.
 """
 
 import importlib
@@ -16,7 +16,7 @@ from liewalk import OutOfDomainError
 from liewalk.legendre import DIVERGENCE_NORM, GRAD_TOL, legendre
 from liewalk.lie import AlgebraVector
 
-from logm_reference import logm
+from logm_reference import principal_log
 from two_state_paths import ClosedFormPath2
 
 # the module, which the package's legendre() function shadows as an attribute
@@ -106,7 +106,7 @@ def logarithmic_derivative(path, t):
     i = int(np.searchsorted(path.ts, t, side="right") - 1)
     i = min(max(i, 0), len(path.ts) - 2)
     step = np.linalg.solve(path.mats[i], path.mats[i + 1])
-    return AlgebraVector(logm(step) / (path.ts[i + 1] - path.ts[i]))
+    return AlgebraVector(principal_log(step) / (path.ts[i + 1] - path.ts[i]))
 
 
 def rate_along_path(dist, path, quad_nodes=8, subintervals=32):

@@ -1,15 +1,19 @@
 """Per-matrix principal logarithm, the reference for the stacked one.
 
-A test-local copy of the single-matrix loops that liewalk.lie ran before its
-logarithm took stacks: Denman-Beavers square roots, one matrix at a time,
-until ||g - I||_F < 0.25, then a Mercator series stopped by its tail bound.
-Tests compare liewalk's stacked log with these loops bit for bit, message
-for message.
+``logm`` is a test-local copy of the single-matrix loops that liewalk.lie
+ran before its logarithm took stacks: Denman-Beavers square roots, one
+matrix at a time, until ||g - I||_F < 0.25, then a Mercator series stopped
+by its tail bound.  ``principal_log`` chooses per matrix as the stacked log
+does: the 2x2 closed form ``stoch2_reference.stoch2_log`` for a matrix with
+finite entries, row sums within 1e-9 of 1 and s = g00 - g10 > 0, and
+``logm`` for every other.  Tests compare liewalk's stacked log with these
+loops bit for bit, message for message.
 """
 
 import numpy as np
 
 from liewalk.errors import NonConvergenceError, OutOfDomainError
+from stoch2_reference import stoch2_log
 
 
 def sqrtm_db(a: np.ndarray, max_iter: int = 80, tol: float = 1e-14) -> np.ndarray:
@@ -64,3 +68,11 @@ def logm(g: np.ndarray, max_sqrt: int = 60) -> np.ndarray:
         if tail < 1e-17 or m > 80:
             break
     return total * (2.0 ** k)
+
+
+def principal_log(g: np.ndarray, max_sqrt: int = 60) -> np.ndarray:
+    """The closed form on a 2x2 unit-row-sum matrix with s > 0, else logm."""
+    if (g.shape == (2, 2) and np.isfinite(g).all() and g[0, 0] - g[1, 0] > 0
+            and max(abs(g[0, 0] + g[0, 1] - 1.0), abs(g[1, 0] + g[1, 1] - 1.0)) <= 1e-9):
+        return stoch2_log(g)
+    return logm(g, max_sqrt)

@@ -1,10 +1,12 @@
 """The walk's 2x2 closed forms one matrix at a time, and in long double.
 
 ``stoch2_log`` and ``explicit_solve`` are test-local one-matrix copies of
-what liewalk._kernels computes on stacks for the 2x2 unit-row-sum group:
-the principal log log(s)/(s - 1) * (g - I) with s = g00 - g10, and the
-displacement a^-1 b as the adjugate of a over its determinant.  Tests
-compare the walk's logs with them byte for byte.
+what liewalk computes on stacks for the 2x2 unit-row-sum group: the
+principal log log(s)/(s - 1) * (g - I) with s = g00 - g10, which
+liewalk.lie._logm_stack takes for every such matrix with s > 0, and the
+displacement a^-1 b as the adjugate of a over its determinant
+(liewalk._kernels.displacements).  Tests compare the library's 2x2 logs
+with them byte for byte.
 ``stoch2_logs_longdouble`` carries the same log in long double (64-bit
 mantissa on x86-64), so its own rounding is about 2^11 times finer.
 

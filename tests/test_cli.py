@@ -323,6 +323,17 @@ def test_simulate_m_outside_one_to_n_is_numeric_error(m, capsys):
     assert f"must lie in [1, n] = [1, 50], got {int(m)}" in diag["message"]
 
 
+def test_simulate_through_a_singular_point_is_numeric_error(capsys):
+    # at rates 50 and n = 50 the walk's points from k = 40 on are singular in float64
+    assert main(["simulate", "--alpha", "50", "--beta", "50", "--n", "50", "--m", "5",
+                 "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err.strip())
+    assert diag["error"] == "SingularMatrixError"
+    assert diag["message"] == "walk point k=40 is singular"
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 

@@ -9,10 +9,9 @@ from liewalk._kernels import (
     indexed_products,
     partial_products,
     stoch2_log_norms,
-    stoch2_logs,
 )
 from liewalk.errors import InvalidArgumentError
-from liewalk.lie import OutOfDomainError, _expm, _logm
+from liewalk.lie import OutOfDomainError, _expm, _logm, _logm_stack
 from logm_reference import logm as reference_logm
 from products_reference import matmul_scan
 from products_reference import partial_products as looped_partial_products
@@ -322,39 +321,69 @@ def closed_form_rows(rng, s_min):
     return mats
 
 
-def test_stoch2_logs_match_the_per_matrix_loop(rng):
+def test_closed_form_logs_match_the_per_matrix_loop(rng):
     # the loop loses accuracy below s = 2^-10 (2.1e-12 relative near 1e-6)
     mats = closed_form_rows(rng, 2.0**-10)
-    logs, ok = stoch2_logs(mats)
-    assert ok.all()
+    logs, ok, reasons = _logm_stack(mats)
+    assert ok.all() and reasons == {}
     for got, g in zip(logs, mats):
         ref = reference_logm(g)
         assert np.linalg.norm(got - ref) <= LOG_RTOL * np.linalg.norm(ref) + LOG_ATOL
         assert np.array_equal(got, stoch2_log(g))
 
 
-def test_stoch2_logs_against_longdouble(rng):
+def test_closed_form_logs_against_longdouble(rng):
     # measured: within 1.4 ulps of each row's largest entry
     mats = closed_form_rows(rng, 2.0**-20)
-    logs, ok = stoch2_logs(mats)
+    logs, ok, _ = _logm_stack(mats)
     assert ok.all()
     want = stoch2_logs_longdouble(mats)
     err = np.abs(logs - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert float(err.max()) <= 2 * np.finfo(float).eps
 
 
-def test_stoch2_logs_flag_rows_without_a_log(rng):
+NO_CLOSED_FORM = np.array([[[0.5, 0.5], [0.5, 0.5]],      # s = 0, singular
+                           [[0.2, 0.8], [0.9, 0.1]],      # s = -0.7
+                           [[np.nan, 0.5], [0.5, 0.5]],
+                           [[1.0, 0.0], [np.inf, -np.inf]],
+                           [[1.0, np.inf], [0.0, 1.0]]])  # s = 1, one entry infinite
+
+
+def test_2x2_rows_without_a_log_take_the_loop_and_its_messages(rng):
     good = closed_form_rows(rng, 2.0**-10)[:6]
-    bad = np.array([[[0.5, 0.5], [0.5, 0.5]],      # s = 0, singular
-                    [[0.2, 0.8], [0.9, 0.1]],      # s = -0.7
-                    [[np.nan, 0.5], [0.5, 0.5]],
-                    [[1.0, 0.0], [np.inf, -np.inf]],
-                    [[1.0, np.inf], [0.0, 1.0]]])  # s = 1, one entry infinite
-    mats = np.concatenate([good[:3], bad, good[3:]])
-    logs, ok = stoch2_logs(mats)
+    mats = np.concatenate([good[:3], NO_CLOSED_FORM, good[3:]])
+    logs, ok, reasons = _logm_stack(mats)
     assert ok.tolist() == [True] * 3 + [False] * 5 + [True] * 3
     assert np.isnan(logs[3:8]).all()
-    assert np.array_equal(logs[ok], stoch2_logs(good)[0])
+    assert np.array_equal(logs[ok], _logm_stack(good)[0])
+    for i, g in enumerate(NO_CLOSED_FORM, start=3):
+        if np.isfinite(g).all():
+            with pytest.raises(OutOfDomainError) as looped:
+                reference_logm(g)
+            assert reasons[i] == str(looped.value)
+        else:
+            assert reasons[i] == "matrix logarithm: non-finite entries"
+
+
+def test_mixed_2x2_stack_rows_are_their_one_row_logs(rng):
+    # closed-form rows; s <= 0, singular and non-finite rows; and a row whose
+    # row sums are off by 1e-6, which takes the Denman-Beavers loop
+    good = closed_form_rows(rng, 2.0**-10)[::40]
+    off = _expm(np.array([[-0.3, 0.3], [0.2, -0.2]])) + np.array([[1e-6, 0.0], [0.0, 0.0]])
+    mats = np.concatenate([good[:3], NO_CLOSED_FORM, [off], good[3:]])
+    logs, ok, reasons = _logm_stack(mats)
+    assert ok.tolist() == [True] * 3 + [False] * 5 + [True] * (1 + len(good) - 3)
+    for i in [0, 1, 2, *range(9, len(mats))]:
+        assert np.array_equal(logs[i], stoch2_log(mats[i]))
+    assert np.array_equal(logs[8], reference_logm(off))
+    assert not np.array_equal(logs[8], stoch2_log(off))
+    for i, g in enumerate(mats):
+        if ok[i]:
+            assert np.array_equal(_logm(g), logs[i])
+        else:
+            with pytest.raises(OutOfDomainError) as info:
+                _logm(g)
+            assert str(info.value) == reasons[i]
 
 
 def test_displacements_2x2_take_the_explicit_inverse(rng):

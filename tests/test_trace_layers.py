@@ -7,11 +7,16 @@ name inside the tier-1 suite.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import liewalk
 import liewalk.cli  # a traced module that the package does not import
 from liewalk import AlgebraVector, BallEvent, exp_matrix
+from liewalk.lie import _expm
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -101,3 +106,31 @@ def test_traced_rate_curve_counts_draws_products_and_hits(dist):
     assert tracer.calls["mc.event_distances"] == tracer.calls["kernels.indexed_products"] == 4
     assert tracer.calls["mc.tilted_estimator"] == 2
     assert tracer.counts["mc.plain.n20.hits"] > 0 and tracer.counts["mc.plain.n37.hits"] > 0
+
+
+def write_matrix(path, u):
+    path.write_text(json.dumps(_expm(np.array(u)).tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, roots", [
+    (["rate", "--alpha", "1", "--m", "4,8", "--endpoint", "{endpoint}"], 0),
+    (["exp-log-selftest", "--dims", "2"], 0),
+    (["mc-estimate", "--alpha", "1", "--beta", "1", "--center", "{center}", "--radius", "0.05",
+      "--ns", "20", "--samples", "500", "--tilt", "auto"], 0),
+    (["exp-log-selftest", "--dims", "3"], 2),
+], ids=["rate", "selftest-d2", "mc-auto-tilt", "selftest-d3"])
+def test_traced_cli_takes_square_roots_only_off_the_2x2_group(argv, roots, tmp_path):
+    # every 2x2 unit-row-sum log takes the closed form; only the 3x3 logs
+    # of the d = 3 self-test run Denman-Beavers square roots
+    files = {"endpoint": write_matrix(tmp_path / "g.json", [[-0.8, 0.8], [0.2, -0.2]]),
+             "center": write_matrix(tmp_path / "c.json", [[-0.6, 0.6], [0.3, -0.3]])}
+    argv = [a.format(**files) for a in argv] + ["--out-json", str(tmp_path / "out.json")]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert liewalk.cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    assert tracer.calls["lie.sqrtm_db"] == roots

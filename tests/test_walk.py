@@ -7,6 +7,7 @@ from liewalk import (
     IncrementDistribution,
     InvalidArgumentError,
     OutOfDomainError,
+    SingularMatrixError,
     distance_proxy,
     estimate_continuity_constant,
     example_model,
@@ -22,9 +23,8 @@ from liewalk import (
 )
 from liewalk.bch import sample_ball
 from liewalk.cli import main
-from liewalk._kernels import stoch2_logs
-from liewalk.lie import GroupElement, _expm
-from liewalk.walk import _logs_or_raise
+from liewalk.lie import GroupElement, _expm, _logm_stack
+from liewalk.walk import SegmentDecomposition, _logs_or_raise
 import bch_reference as reference
 from logm_reference import logm as reference_logm
 from stoch2_reference import LOG_ATOL, LOG_RTOL, explicit_solve, stoch2_log
@@ -149,6 +149,31 @@ def test_segment_log_at(dist):
     np.testing.assert_allclose(exp_matrix(y).entries, rel, atol=1e-12)
     with pytest.raises(InvalidArgumentError):
         seg.log_at(5, 1)
+
+
+def test_log_at_a_whole_segment_is_its_segment_log(dist):
+    # the same solve and the same log as the segment logs, byte for byte
+    for seed in range(5):
+        traj = simulate_walk(dist, 1000, seed=seed)
+        seg = segment_decomposition(traj, 10)
+        for l, (lo, hi) in enumerate(zip(seg.boundaries, seg.boundaries[1:]), start=1):
+            assert seg.log_at(l, hi - lo).entries.tobytes() == \
+                seg.segment_logs[l - 1].entries.tobytes()
+
+
+def test_singular_walk_point_raises_singular_matrix_error():
+    # at rates 50 and n = 50 the points from k = 40 on are singular in float64
+    traj = simulate_walk(example_model(50.0, 50.0).distribution(), 50, seed=1)
+    det = np.linalg.det(traj.points)
+    assert det[39] != 0.0 and det[40] == 0.0
+    message = r"^walk point k=40 is singular$"
+    with pytest.raises(SingularMatrixError, match=message):
+        segment_decomposition(traj, 5)
+    with pytest.raises(SingularMatrixError, match=message):
+        traj.step_logs()
+    seg = SegmentDecomposition(traj, 5, (0, 10, 20, 30, 40, 50), ())
+    with pytest.raises(SingularMatrixError, match=message):
+        seg.log_at(5, 3)
 
 
 def test_segment_exchangeability(dist):
@@ -285,11 +310,11 @@ def test_step_logs_of_a_2x2_walk_are_the_closed_form(dist):
 @pytest.mark.parametrize("bad", [[[0.2, 0.8], [0.9, 0.1]], [[0.5, 0.5], [0.5, 0.5]]],
                          ids=["s=-0.7", "s=0"])
 def test_2x2_stack_without_a_log_raises_the_loop_message(bad):
-    # a row with s <= 0 sends the whole stack to the Denman-Beavers and
-    # Mercator path, whose reason the error carries as before
+    # a row with s <= 0 takes the Denman-Beavers and Mercator loop, whose
+    # reason the error carries
     good = _expm(np.array([[[-0.3, 0.3], [0.1, -0.1]], [[-1.0, 1.0], [2.0, -2.0]]]))
     mats = np.concatenate([good, [bad], good])
-    assert np.array_equal(stoch2_logs(mats)[1], [True, True, False, True, True])
+    assert np.array_equal(_logm_stack(mats)[1], [True, True, False, True, True])
     with pytest.raises(OutOfDomainError) as looped:
         reference_logm(np.array(bad))
     with pytest.raises(OutOfDomainError) as stacked:
