@@ -4,8 +4,7 @@
 left-to-right order; ``stoch2_log_norms`` takes the norms of the principal
 logs of 2x2 unit-row-sum matrices, through the closed form's factor
 ``lie._log_factor`` with s = M00 - M10, as ``lie._logm_stack`` takes the logs
-themselves; ``displacements`` divides consecutive points of a stack, a 2x2
-one by the explicit inverse.  Both product kernels treat a 2x2
+themselves.  Both product kernels treat a 2x2
 unit-row-sum step as the affine map x -> a x + b of the product's first
 column; the composition rule and the rebuild of a matrix from its composed
 map are written once, in ``_chain`` and ``_stoch2_matrices``.
@@ -39,7 +38,6 @@ __all__ = [
     "partial_products",
     "indexed_products",
     "stoch2_log_norms",
-    "displacements",
 ]
 
 
@@ -263,25 +261,3 @@ def stoch2_log_norms(mats: np.ndarray) -> np.ndarray:
     out = np.where(s > 0, out, np.inf)
     return out
 
-
-# ---------------------------------------------------------------------------
-# displacements between consecutive points of a stack
-
-def displacements(pts: np.ndarray) -> np.ndarray:
-    """pts[k]^-1 pts[k + 1] for each k of a (n + 1, d, d) stack, as (n, d, d).
-
-    A 2x2 stack whose every determinant is finite and nonzero takes the
-    explicit inverse, the adjugate over the determinant, applied entry by
-    entry; every other stack takes np.linalg.solve, with its errors.
-    """
-    a, b = pts[:-1], pts[1:]
-    if pts.shape[-1] == 2:
-        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-        if np.all(np.isfinite(det) & (det != 0.0)):
-            out = np.empty(b.shape)
-            out[:, 0, 0] = (a[:, 1, 1] * b[:, 0, 0] - a[:, 0, 1] * b[:, 1, 0]) / det
-            out[:, 0, 1] = (a[:, 1, 1] * b[:, 0, 1] - a[:, 0, 1] * b[:, 1, 1]) / det
-            out[:, 1, 0] = (a[:, 0, 0] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 0]) / det
-            out[:, 1, 1] = (a[:, 0, 0] * b[:, 1, 1] - a[:, 1, 0] * b[:, 0, 1]) / det
-            return out
-    return np.linalg.solve(a, b)

@@ -9,7 +9,11 @@ operators, conjugation, and the left-invariant distance proxy
 unit-row-sum matrix with s = M00 - M10 > 0 the closed form
 log(s)/(s - 1) * (M - I), and every other matrix inverse scaling and
 squaring (Denman-Beavers square roots until ||g - I||_F < 0.25, then a
-truncated Mercator series with an explicit tail bound).
+truncated Mercator series with an explicit tail bound); a caller that
+needs every log takes _logs, which raises the first missing one's reason.
+Every relative position g^-1 h in the library is a row of _divide, the
+explicit inverse on a 2x2 stack and np.linalg.solve otherwise, which
+names a singular divisor through its caller's label.
 
 An adjoint operator is a plain (D, D) array, D = d^2 - d, in the frame of
 algebra_basis(d): ad_operator(x) maps coords(y) to coords([x, y]), and
@@ -254,6 +258,34 @@ def exp_matrix(x: AlgebraVector) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
+# relative position a^-1 b, on stacks
+
+def _divide(a: np.ndarray, b: np.ndarray, label) -> np.ndarray:
+    """a[i]^-1 b[i] for each i of two (n, d, d) stacks.
+
+    A 2x2 stack whose every determinant is finite and nonzero takes the
+    explicit inverse, the adjugate over the determinant, applied entry by
+    entry; every other stack takes np.linalg.solve.  A singular a[i] raises
+    SingularMatrixError("<label(i)> is singular"), i located by the smallest
+    |det a[i]|: the solve's exactly zero LU pivot is a zero determinant.
+    """
+    if a.shape[-1] == 2:
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        if np.all(np.isfinite(det) & (det != 0.0)):
+            out = np.empty(b.shape)
+            out[:, 0, 0] = (a[:, 1, 1] * b[:, 0, 0] - a[:, 0, 1] * b[:, 1, 0]) / det
+            out[:, 0, 1] = (a[:, 1, 1] * b[:, 0, 1] - a[:, 0, 1] * b[:, 1, 1]) / det
+            out[:, 1, 0] = (a[:, 0, 0] * b[:, 1, 0] - a[:, 1, 0] * b[:, 0, 0]) / det
+            out[:, 1, 1] = (a[:, 0, 0] * b[:, 1, 1] - a[:, 1, 0] * b[:, 0, 1]) / det
+            return out
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        i = int(np.argmin(np.abs(np.linalg.det(a))))
+        raise SingularMatrixError(f"{label(i)} is singular") from None
+
+
+# ---------------------------------------------------------------------------
 # matrix logarithm: inverse scaling and squaring, on stacks
 
 def _sqrtm_db(a: np.ndarray, max_iter: int = 80, tol: float = 1e-14):
@@ -368,12 +400,20 @@ def _logm_stack(g: np.ndarray, max_sqrt: int = 60):
     return logs, ok, {int(index[i]): msg for i, msg in reasons.items()}
 
 
+def _logs(mats: np.ndarray, label) -> np.ndarray:
+    """Logs of a (n, d, d) stack by _logm_stack, raising at the first matrix
+    without one an OutOfDomainError with its reason after label(i), where i
+    is the matrix's 0-based position in the stack."""
+    logs, ok, reasons = _logm_stack(mats)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise OutOfDomainError(f"{label(i)}{reasons[i]}")
+    return logs
+
+
 def _logm(g: np.ndarray) -> np.ndarray:
-    """Principal log of one matrix: row 0 of a one-row _logm_stack, raising its reason."""
-    logs, ok, reasons = _logm_stack(g[None])
-    if not ok[0]:
-        raise OutOfDomainError(reasons[0])
-    return logs[0]
+    """Principal log of one matrix: a one-row _logs, raising its reason."""
+    return _logs(g[None], lambda i: "")[0]
 
 
 def log_matrix(g: GroupElement) -> AlgebraVector:
@@ -408,18 +448,16 @@ def ad_operator(x: AlgebraVector) -> np.ndarray:
 
 def conjugate(g: GroupElement, x: AlgebraVector) -> AlgebraVector:
     """Adjoint action g X g^-1; preserves zero row sums."""
-    a = g.entries
-    if abs(np.linalg.det(a)) <= SINGULARITY_TOL:
-        raise SingularMatrixError("conjugation requires an invertible group element")
-    gx = a @ x.entries
-    res = np.linalg.solve(a.T, gx.T).T
+    gx = g.entries @ x.entries
+    # (g X) g^-1 is the transpose of g^-T (g X)^T, one left division by g^T
+    res = _divide(g.entries.T[None], gx.T[None], lambda i: "group element")[0].T
     # row sums of g X g^-1 vanish exactly in exact arithmetic; clean roundoff
     return AlgebraVector(res - np.diag(res.sum(axis=1)))
 
 
 def distance_proxy(g: GroupElement, h: GroupElement) -> float:
     """|log(g^-1 h)|_F, a left-invariant surrogate for the Riemannian distance."""
-    rel = np.linalg.solve(g.entries, h.entries)
+    rel = _divide(g.entries[None], h.entries[None], lambda i: "group element")[0]
     return float(np.linalg.norm(_logm(rel)))
 
 
@@ -459,9 +497,7 @@ def validate_injectivity(d: int, eps: float = INJECTIVITY_EPS,
     rng = np.random.default_rng(seed)
     x = _coords_to_matrices(np.array([_ball_coords(d, radius, rng) for _ in range(n_samples)]), d)
     g = _expm(x)
-    back, ok, reasons = _logm_stack(g)
-    if not ok.all():
-        raise OutOfDomainError(reasons[int(np.argmin(ok))])
+    back = _logs(g, lambda i: "")
     max_rt = float(_frobenius_norms(back - x).max())
     inside = _frobenius_norms(g - np.eye(d)) <= eps
     max_log = float(_frobenius_norms(back[inside]).max(initial=0.0))

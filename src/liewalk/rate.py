@@ -12,7 +12,9 @@ Frechet derivative of each segment's exponential (Higham, Functions of
 Matrices, 10.6).  Segments are parameterized in the support's hull chart
 (legendre.SupportGeometry), where the conjugate has a relative interior:
 the chart projects the seed and start segments, embeds the iterates and
-supplies the hull's facets, which bound every segment.
+supplies the hull's facets, which bound every segment.  Every relative
+position, a sampled path's segment step and the residual Psi_m^-1 g, is a
+row of lie._divide, and its log a row of lie._logs.
 """
 
 from dataclasses import dataclass, field
@@ -37,9 +39,10 @@ from .legendre import (
 from .lie import (
     AlgebraVector,
     GroupElement,
+    _divide,
     _expm,
     _logm,
-    _logm_stack,
+    _logs,
     log_matrix,
 )
 
@@ -75,17 +78,9 @@ class SampledPath:
         self.ts = ts
         self.mats = mats
         self.dim = mats.shape[-1]
-        # every segment's step mats[i]^-1 mats[i + 1], in one solve and one stacked log
-        try:
-            steps = np.linalg.solve(mats[:-1], mats[1:])
-        except np.linalg.LinAlgError:
-            # the solve's own LU factors: its exactly zero pivot is a zero determinant
-            j = int(np.argmin(np.abs(np.linalg.det(mats[:-1]))))
-            raise SingularMatrixError(f"sample {j} (t={ts[j]}) is singular") from None
-        self._segment_logs, ok, reasons = _logm_stack(steps)
-        if not ok.all():
-            first = int(np.argmin(ok))
-            raise OutOfDomainError(f"segment {first} has no principal log: {reasons[first]}")
+        # every segment's step mats[i]^-1 mats[i + 1], in one division and one stacked log
+        steps = _divide(mats[:-1], mats[1:], lambda j: f"sample {j} (t={ts[j]})")
+        self._segment_logs = _logs(steps, lambda j: f"segment {j} has no principal log: ")
 
     def _segment(self, times: np.ndarray) -> np.ndarray:
         """Index of the segment that holds each of times; t = 1 is in the last."""
@@ -176,10 +171,11 @@ class DiscretizedRate:
 
 
 def _penalty(prod: np.ndarray, g: np.ndarray) -> float:
-    """|log(prod^-1 g)|_F^2, +inf where prod^-1 g has no principal log."""
+    """|log(prod^-1 g)|_F^2, +inf where prod is singular or prod^-1 g has no
+    principal log."""
     try:
-        lg = _logm(np.linalg.solve(prod, g))
-    except (OutOfDomainError, np.linalg.LinAlgError):
+        lg = _logm(_divide(prod[None], g[None], lambda i: "product")[0])
+    except (OutOfDomainError, SingularMatrixError):
         return float("inf")
     return float(np.sum(lg * lg))
 

@@ -9,11 +9,11 @@ by one doubling scan (``_kernels.partial_products``): on the 2x2
 unit-row-sum group, from 128 steps on, a scan of the steps' affine maps of
 the first column, and otherwise a scan of stacked matmuls.
 
-Prefix, step and segment logs are taken a stack at a time by
-``lie._logm_stack`` (the closed form on the 2x2 unit-row-sum group); an
-error names the first matrix without a log, or the step of a walk point
-that is singular in float64.  The step displacements of a 2x2 walk come
-from the explicit inverse (``_kernels.displacements``).
+Prefix, step and segment logs are taken a stack at a time by ``lie._logs``
+(the closed form on the 2x2 unit-row-sum group), and every displacement
+sigma_j^-1 sigma_k by ``lie._divide`` (the explicit inverse on the 2x2
+group); an error names the first matrix without a log, or the step of a
+walk point that is singular in float64.
 
 Reproducibility: a trajectory is a pure function of (distribution, n,
 seed); increments are drawn by inverse CDF from a PCG64 stream seeded with
@@ -26,20 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import displacements, partial_products
+from ._kernels import partial_products
 from .bch import BoundCertificate, _pair_rng, c_constant
 from .distributions import IncrementDistribution
-from .errors import InvalidArgumentError, OutOfDomainError, SingularMatrixError, _positive_int
+from .errors import InvalidArgumentError, _positive_int
 from .lie import (
     AlgebraVector,
     GroupElement,
     _ad_stack,
     _ball_coords,
     _coords_to_matrices,
+    _divide,
     _expm,
     _frobenius_norms,
     _logm,
-    _logm_stack,
+    _logs,
     algebra_dim,
     distance_proxy,
     operator_norm,
@@ -74,41 +75,14 @@ class WalkTrajectory:
             raise InvalidArgumentError(f"k must lie in [0, {self.n}]")
         return self.points[k]
 
-    def prefix_points(self, k: int) -> np.ndarray:
-        """Partial products after 0..k steps as a (k + 1, d, d) stack."""
-        return self.points[:k + 1]
-
     def step_logs(self) -> np.ndarray:
         """Logs of the n one-step displacements point(k-1)^-1 point(k)."""
-        return _logs_or_raise(_displacements(self.points, range(self.n + 1), explicit=True),
-                              lambda k: "")
+        pts = self.points
+        return _logs(_divide(pts[:-1], pts[1:], lambda k: f"walk point k={k}"), lambda k: "")
 
     @property
     def endpoint(self) -> GroupElement:
         return GroupElement(self.point(self.n))
-
-
-def _displacements(pts: np.ndarray, ks, explicit: bool = False) -> np.ndarray:
-    """pts[j]^-1 pts[j + 1] for walk points pts at steps ks, by displacements
-    if explicit, else by np.linalg.solve; a singular pts[j] raises
-    SingularMatrixError naming step ks[j]."""
-    try:
-        return displacements(pts) if explicit else np.linalg.solve(pts[:-1], pts[1:])
-    except np.linalg.LinAlgError:
-        # the solve's own LU factors: its exactly zero pivot is a zero determinant
-        j = int(np.argmin(np.abs(np.linalg.det(pts[:-1]))))
-        raise SingularMatrixError(f"walk point k={ks[j]} is singular") from None
-
-
-def _logs_or_raise(mats: np.ndarray, context) -> np.ndarray:
-    """Logs of a (n, d, d) stack by _logm_stack, raising at the first matrix
-    without one an OutOfDomainError with its reason after context(i), where
-    i is the matrix's 1-based position in the stack."""
-    logs, ok, reasons = _logm_stack(mats)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise OutOfDomainError(f"{context(i + 1)}{reasons[i]}")
-    return logs
 
 
 def simulate_walk(dist: IncrementDistribution, n: int, seed: int) -> WalkTrajectory:
@@ -142,8 +116,8 @@ class SegmentDecomposition:
         hi = self.boundaries[l]
         if not 1 <= k <= hi - lo:
             raise InvalidArgumentError(f"k must lie in [1, {hi - lo}] for segment {l}")
-        ks = (lo, lo + k)
-        rel = _displacements(self.traj.points[list(ks)], ks)
+        pts = self.traj.points
+        rel = _divide(pts[lo][None], pts[lo + k][None], lambda j: f"walk point k={lo}")
         return AlgebraVector(_logm(rel[0]))
 
 
@@ -152,10 +126,9 @@ def segment_decomposition(traj: WalkTrajectory, m: int) -> SegmentDecomposition:
     block = traj.n // m
     bounds = tuple(l * block for l in range(m)) + (traj.n,)
     pts = traj.points[list(bounds)]
-    # m displacements, too few for the explicit inverse to save time
-    logs = _logs_or_raise(
-        _displacements(pts, bounds),
-        lambda l: (f"segment {l} displacement is outside the log domain; "
+    logs = _logs(
+        _divide(pts[:-1], pts[1:], lambda l: f"walk point k={bounds[l]}"),
+        lambda l: (f"segment {l + 1} displacement is outside the log domain; "
                    f"increase m (currently {m}): "))
     return SegmentDecomposition(traj=traj, m=m, boundaries=bounds,
                                 segment_logs=tuple(AlgebraVector(x) for x in logs))
@@ -210,8 +183,7 @@ def replacement_deviation(traj: WalkTrajectory, m: int) -> ReplacementCertificat
     b = traj.dist.support_bound
     kappa = kappa_support(traj.dist)
     cums = np.cumsum(traj.dist.atom_stack()[traj.atom_indices[:k_max]], axis=0) / n
-    logs = _logs_or_raise(traj.prefix_points(k_max)[1:],
-                         lambda k: f"prefix log undefined at k={k}: ")
+    logs = _logs(traj.points[1:k_max + 1], lambda k: f"prefix log undefined at k={k + 1}: ")
     devs = _frobenius_norms(logs - cums)
     arg = int(np.argmax(devs)) + 1
     worst = float(devs[arg - 1])

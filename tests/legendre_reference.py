@@ -4,7 +4,8 @@ Test-local copies of the loops that liewalk ran before its conjugate took
 stacks: the damped Newton on one target at a time, and the quadrature that
 takes one velocity and one legendre() call per node (a closed-form path's
 velocity from its formula at one time, a sampled path's from its own
-segment log, taken per matrix by ``logm_reference.principal_log``).  Tests
+segment log, its division taken per pair by ``stoch2_reference.divide``
+and its log by ``logm_reference.principal_log``).  Tests
 compare liewalk's stacked code with these loops bit for bit.
 """
 
@@ -17,6 +18,7 @@ from liewalk.legendre import DIVERGENCE_NORM, GRAD_TOL, legendre
 from liewalk.lie import AlgebraVector
 
 from logm_reference import principal_log
+from stoch2_reference import divide
 from two_state_paths import ClosedFormPath2
 
 # the module, which the package's legendre() function shadows as an attribute
@@ -105,7 +107,7 @@ def logarithmic_derivative(path, t):
         return AlgebraVector([[-u1, u1], [u2, -u2]])
     i = int(np.searchsorted(path.ts, t, side="right") - 1)
     i = min(max(i, 0), len(path.ts) - 2)
-    step = np.linalg.solve(path.mats[i], path.mats[i + 1])
+    step = divide(path.mats[i], path.mats[i + 1])
     return AlgebraVector(principal_log(step) / (path.ts[i + 1] - path.ts[i]))
 
 

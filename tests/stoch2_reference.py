@@ -5,8 +5,9 @@ what liewalk computes on stacks for the 2x2 unit-row-sum group: the
 principal log log(s)/(s - 1) * (g - I) with s = g00 - g10, which
 liewalk.lie._logm_stack takes for every such matrix with s > 0, and the
 displacement a^-1 b as the adjugate of a over its determinant
-(liewalk._kernels.displacements).  Tests compare the library's 2x2 logs
-with them byte for byte.
+(liewalk.lie._divide).  ``divide`` picks between ``explicit_solve`` and
+np.linalg.solve for one pair as ``_divide`` picks for a stack.  Tests
+compare the library's 2x2 logs and divisions with them byte for byte.
 ``stoch2_logs_longdouble`` carries the same log in long double (64-bit
 mantissa on x86-64), so its own rounding is about 2^11 times finer.
 
@@ -43,6 +44,16 @@ def explicit_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     return np.array([[a[1, 1] * b[0, 0] - a[0, 1] * b[1, 0], a[1, 1] * b[0, 1] - a[0, 1] * b[1, 1]],
                      [a[0, 0] * b[1, 0] - a[1, 0] * b[0, 0], a[0, 0] * b[1, 1] - a[1, 0] * b[0, 1]]]) / det
+
+
+def divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for one pair: explicit_solve for a 2x2 a whose determinant is
+    finite and nonzero, otherwise np.linalg.solve with its errors."""
+    if a.shape == (2, 2):
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        if np.isfinite(det) and det != 0.0:
+            return explicit_solve(a, b)
+    return np.linalg.solve(a, b)
 
 
 def stoch2_logs_longdouble(mats: np.ndarray) -> np.ndarray:

@@ -28,11 +28,19 @@ from liewalk.bch import (
     SERIES_TOL,
     SQRT2M1,
     _g_series,
+    _log_product_bounds,
     _pair_rng,
     g_tail,
     sample_ball,
 )
-from liewalk.lie import AlgebraVector, _expm, ad_operator, operator_norm, validate_injectivity
+from liewalk.lie import (
+    AlgebraVector,
+    _expm,
+    _logm_stack,
+    ad_operator,
+    operator_norm,
+    validate_injectivity,
+)
 import bch_reference as reference
 
 
@@ -190,6 +198,22 @@ def test_bch_log_radius_gate(rng):
     x = sample_ball(2, 0.5, rng, surface=True)
     with pytest.raises(OutOfDomainError):
         bch_log(x, x)
+
+
+def test_log_products_raise_the_reason_of_a_pair_without_a_log():
+    # exp(shear / 2) exp(rot / 2), the two steps of a 3x3 walk, has a pair of
+    # negative eigenvalues; it sits between two small pairs that have logs
+    cyc = np.roll(np.eye(3), 1, axis=1)
+    rot = 2.7 * (cyc - cyc.T)
+    shear = np.array([[-3.0, 3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    x = np.stack([rot / 40, shear / 2, shear / 40])
+    y = np.stack([shear / 40, rot / 2, rot / 40])
+    e = _expm(np.stack((x, y), axis=1))
+    _, ok, reasons = _logm_stack(e[:, 0] @ e[:, 1])
+    assert ok.tolist() == [True, False, True]
+    with pytest.raises(OutOfDomainError) as info:
+        _log_product_bounds(x, y)
+    assert str(info.value) == reasons[1]
 
 
 def test_quadrature_convergence_monotone(rng):

@@ -5,13 +5,12 @@ import pytest
 
 from liewalk import AlgebraVector, IncrementDistribution, _kernels, simulate_walk
 from liewalk._kernels import (
-    displacements,
     indexed_products,
     partial_products,
     stoch2_log_norms,
 )
-from liewalk.errors import InvalidArgumentError
-from liewalk.lie import OutOfDomainError, _expm, _logm, _logm_stack
+from liewalk.errors import InvalidArgumentError, SingularMatrixError
+from liewalk.lie import OutOfDomainError, _divide, _expm, _logm, _logm_stack
 from logm_reference import logm as reference_logm
 from products_reference import matmul_scan
 from products_reference import partial_products as looped_partial_products
@@ -388,7 +387,7 @@ def test_mixed_2x2_stack_rows_are_their_one_row_logs(rng):
 
 def test_displacements_2x2_take_the_explicit_inverse(rng):
     pts = partial_products(two_state_steps(1.0, 500, 3))
-    got = displacements(pts)
+    got = _divide(pts[:-1], pts[1:], str)
     for k in range(500):
         assert np.array_equal(got[k], explicit_solve(pts[k], pts[k + 1]))
     np.testing.assert_allclose(got, np.linalg.solve(pts[:-1], pts[1:]), rtol=0, atol=1e-15)
@@ -396,10 +395,11 @@ def test_displacements_2x2_take_the_explicit_inverse(rng):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_displacements_fall_back_to_solve(rng, d):
-    # a zero determinant, or any 3x3 stack, takes np.linalg.solve with its error
+    # a zero determinant, or any 3x3 stack, takes np.linalg.solve, and its
+    # singular divisor is named by the label
     pts = np.eye(d) + rng.uniform(-0.1, 0.1, size=(6, d, d))
     if d == 3:
-        assert np.array_equal(displacements(pts), np.linalg.solve(pts[:-1], pts[1:]))
+        assert np.array_equal(_divide(pts[:-1], pts[1:], str), np.linalg.solve(pts[:-1], pts[1:]))
     pts[2] = 0.5
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        displacements(pts)
+    with pytest.raises(SingularMatrixError, match="^divisor 2 is singular$"):
+        _divide(pts[:-1], pts[1:], lambda i: f"divisor {i}")

@@ -1,11 +1,13 @@
-"""The traced benchmark finds every layer it wraps.
+"""The traced benchmark finds every layer it wraps, and its commands parse.
 
 perfbench/tracing.py wraps liewalk functions by module and name and records
 a name it cannot find as absent; the traced result line then leaves out that
-layer's declared metrics.  These tests catch a deleted or reshaped traced
-name inside the tier-1 suite.
+layer's declared metrics.  perfbench/workloads.py runs liewalk CLI command
+lines.  These tests catch a deleted or reshaped traced name, and a dropped
+or renamed flag of a benchmark command, inside the tier-1 suite.
 """
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -18,7 +20,10 @@ import liewalk.cli  # a traced module that the package does not import
 from liewalk import AlgebraVector, BallEvent, exp_matrix
 from liewalk.lie import _expm
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load_tracing():
@@ -134,3 +139,17 @@ def test_traced_cli_takes_square_roots_only_off_the_2x2_group(argv, roots, tmp_p
     finally:
         tracer.restore()
     assert tracer.calls["lie.sqrtm_db"] == roots
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_every_benchmark_command_line_parses(workload, tmp_path, monkeypatch):
+    # each op's argv goes through the parser and the config resolution that
+    # cli.main applies before it runs a subcommand
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.WORKLOADS[workload](7, str(tmp_path))
+    assert ops
+    for op in ops:
+        args = liewalk.cli.build_parser().parse_args(op.argv)
+        _, _, keys = liewalk.cli.COMMANDS[args.subcommand]
+        liewalk.cli._resolve(args, {}, keys)

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from liewalk import (
     AlgebraVector,
+    SampledPath,
     IncrementDistribution,
     InvalidArgumentError,
     OutOfDomainError,
     SingularMatrixError,
+    conjugate,
     distance_proxy,
     estimate_continuity_constant,
     example_model,
@@ -23,11 +27,12 @@ from liewalk import (
 )
 from liewalk.bch import sample_ball
 from liewalk.cli import main
-from liewalk.lie import GroupElement, _expm, _logm_stack
-from liewalk.walk import SegmentDecomposition, _logs_or_raise
+from liewalk.lie import GroupElement, _expm, _logm, _logm_stack, _logs
+from liewalk.rate import _penalty
+from liewalk.walk import SegmentDecomposition
 import bch_reference as reference
 from logm_reference import logm as reference_logm
-from stoch2_reference import LOG_ATOL, LOG_RTOL, explicit_solve, stoch2_log
+from stoch2_reference import LOG_ATOL, LOG_RTOL, divide, explicit_solve, stoch2_log
 from test_legendre import generator_law_3x3
 
 
@@ -176,6 +181,83 @@ def test_singular_walk_point_raises_singular_matrix_error():
         seg.log_at(5, 3)
 
 
+# ---------------------------------------------------------------------------
+# one division for every g^-1 h
+
+def _sampled_velocities(traj):
+    path = SampledPath(np.linspace(0.0, 1.0, 5), traj.points[::10])
+    return path._velocities(path.ts[:-1])
+
+
+def _sampled_velocities_by(traj, div):
+    pts, dt = traj.points[::10], np.diff(np.linspace(0.0, 1.0, 5))
+    return [_logm(div(a, b)) / h for a, b, h in zip(pts[:-1], pts[1:], dt)]
+
+
+def _conjugate_by(div, g, x):
+    res = div(g.T, (g @ x).T).T
+    return res - np.diag(res.sum(axis=1))
+
+
+# Every caller of lie._divide on a 40-step walk: (its value, the value with
+# each division a^-1 b taken as div(a, b), and what it does when walk point
+# 10 is singular: the message it raises, inf, or None where a GroupElement
+# cannot be singular).
+DIVISION_CALLERS = {
+    "step_logs": (
+        lambda traj: traj.step_logs(),
+        lambda traj, div: [_logm(div(a, b)) for a, b in zip(traj.points[:-1], traj.points[1:])],
+        "walk point k=10 is singular"),
+    "segment_logs": (
+        lambda traj: [y.entries for y in segment_decomposition(traj, 4).segment_logs],
+        lambda traj, div: [_logm(div(traj.points[lo], traj.points[lo + 10]))
+                           for lo in (0, 10, 20, 30)],
+        "walk point k=10 is singular"),
+    "log_at": (
+        lambda traj: SegmentDecomposition(traj, 4, (0, 10, 20, 30, 40), ()).log_at(2, 7).entries,
+        lambda traj, div: _logm(div(traj.points[10], traj.points[17])),
+        "walk point k=10 is singular"),
+    "SampledPath": (
+        _sampled_velocities, _sampled_velocities_by, "sample 1 (t=0.25) is singular"),
+    "distance_proxy": (
+        lambda traj: distance_proxy(GroupElement(traj.points[10]), GroupElement(traj.points[40])),
+        lambda traj, div: float(np.linalg.norm(_logm(div(traj.points[10], traj.points[40])))),
+        None),
+    "conjugate": (
+        lambda traj: conjugate(GroupElement(traj.points[10]),
+                               AlgebraVector(traj.increments[0])).entries,
+        lambda traj, div: _conjugate_by(div, traj.points[10], traj.increments[0]),
+        None),
+    "_penalty": (
+        lambda traj: _penalty(traj.points[10], traj.points[40]),
+        lambda traj, div: float(np.sum(_logm(div(traj.points[10], traj.points[40])) ** 2)),
+        float("inf")),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("caller", list(DIVISION_CALLERS))
+def test_every_division_takes_the_one_route(caller, d):
+    # a 2x2 divisor takes the explicit inverse, a larger one np.linalg.solve,
+    # byte for byte; a singular divisor is named by its caller
+    law = example_model(1.0, 1.0).distribution() if d == 2 else generator_law_3x3()
+    traj = simulate_walk(law, 40, seed=5)
+    run, by, singular = DIVISION_CALLERS[caller]
+    want = by(traj, explicit_solve if d == 2 else np.linalg.solve)
+    assert np.asarray(run(traj)).tobytes() == np.asarray(want).tobytes()
+    if singular is None:
+        return
+    pts = traj.points.copy()
+    pts[10] = 1.0 / d
+    bad = replace(traj, points=pts)
+    if isinstance(singular, float):
+        assert run(bad) == singular
+        return
+    with pytest.raises(SingularMatrixError) as info:
+        run(bad)
+    assert str(info.value) == singular
+
+
 def test_segment_exchangeability(dist):
     # norms of block logs from different block positions share a distribution
     first, middle = [], []
@@ -242,7 +324,7 @@ def _looped_replacement(traj, m, logm=reference_logm):
 def _looped_segment_logs(traj, m, logm=reference_logm):
     block = traj.n // m
     bounds = [l * block for l in range(m)] + [traj.n]
-    return [logm(np.linalg.solve(traj.point(lo), traj.point(hi)))
+    return [logm(divide(traj.point(lo), traj.point(hi)))
             for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -318,8 +400,8 @@ def test_2x2_stack_without_a_log_raises_the_loop_message(bad):
     with pytest.raises(OutOfDomainError) as looped:
         reference_logm(np.array(bad))
     with pytest.raises(OutOfDomainError) as stacked:
-        _logs_or_raise(mats, lambda i: f"row {i}: ")
-    assert str(stacked.value) == f"row 3: {looped.value}"
+        _logs(mats, lambda i: f"row {i}: ")
+    assert str(stacked.value) == f"row 2: {looped.value}"
 
 
 def test_stacked_certificate_out_of_domain_names_k():
