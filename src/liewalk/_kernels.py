@@ -15,22 +15,25 @@ operations, and on the two-state walk at n = 200,000 it lies within
 8.4e-13 of a long-double recurrence (at rates 700 and n = 100,000 within
 1e-15).  Every other stack, shorter 2x2 chains included, takes the scan of
 stacked matmuls, whose rounding is not the per-step chain's but about as
-large (within 9e-13 at n = 200,000, 6.6e-12 at rates 700).  For 2x2 step
-matrices ``indexed_products`` composes the affine maps by pairwise
-reduction, which agrees with the stacked matmul chain to about 1e-15 per
-step.  For a two-atom law it reads each sample's aligned blocks of 8 steps
-as one byte into a table of the 256 composed block maps, and the last
-block with the n mod 8 leftover steps as one code into a table of all
-such tails; both tables are built by the same reduction, so its products
-are bit for bit those of the reduction over single steps and the 1e-15
-per step tolerance stands.  It applies ``left`` with four flat
-expressions, one per entry, which lie within 4.5e-16 (absolute) of a
+large (within 9e-13 at n = 200,000, 6.6e-12 at rates 700).
+
+``indexed_products`` multiplies Monte Carlo walks given as block codes
+(``distributions.sample_codes``): with k atoms, each code stands for B
+steps, k^B <= 256, so a table of the k^B composed blocks replaces B steps
+by one gather.  For 2x2 step matrices the table holds composed affine
+maps, and each sample's maps are composed by pairwise reduction, which
+agrees with the stacked matmul chain to about 1e-15 per step.  At k = 2 the
+tables are built by the same reduction, so the products are bit for bit
+those of the reduction over single steps.  It applies ``left`` with four
+flat expressions, one per entry, which lie within 4.5e-16 (absolute) of a
 2x2 matmul per sample.  Larger step matrices take one stacked matmul per
-step.
+code from a table of composed block matrices, within 1e-15 per step of
+the stacked chain over single steps for steps exp(X / n).
 """
 
 import numpy as np
 
+from .distributions import block_width, code_columns, code_digits
 from .errors import InvalidArgumentError
 from .lie import MEMBERSHIP_TOL, _log_factor
 
@@ -120,114 +123,139 @@ def partial_products(steps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batched endpoint products for Monte Carlo: one product chain per sample
 
-def indexed_products(step_mats: np.ndarray, idx: np.ndarray,
-                     left: np.ndarray) -> np.ndarray:
-    """Endpoint of left @ prod_j step_mats[idx[s, j]] for every sample s.
+def indexed_products(step_mats: np.ndarray, codes: np.ndarray, left: np.ndarray,
+                     n_steps: int) -> np.ndarray:
+    """Endpoint of left @ (the n_steps steps coded by codes[s]) for every sample s.
 
-    idx must hold integers in [0, k) for k step matrices.  2x2 step matrices
-    must have unit row sums within MEMBERSHIP_TOL; their products come from
-    ``_stoch2_products``, and left @ P is written entry by entry as
-    left[i, 0] P[:, 0, j] + left[i, 1] P[:, 1, j], within 4.5e-16 of the
-    2x2 matmul.  Larger ones take one stacked product per step, vectorized
-    across samples.
+    codes holds each sample's block codes over the k = len(step_mats) step
+    matrices, in the layout of ``distributions``: ceil(n_steps / B) columns
+    with entries in [0, k^B), the last in [0, k^r) for its r steps.  2x2
+    step matrices must have unit row sums within MEMBERSHIP_TOL; their
+    products come from ``_stoch2_products``, and left @ P is written entry
+    by entry as left[i, 0] P[:, 0, j] + left[i, 1] P[:, 1, j], within
+    4.5e-16 of the 2x2 matmul.  Larger ones take one stacked matmul per
+    code across all samples, from a table of the composed matrices of every
+    block (``_matrix_table``).
     """
     step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
     left = np.ascontiguousarray(left, dtype=np.float64)
-    idx = np.ascontiguousarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise InvalidArgumentError(f"atom indices must be integers, not {idx.dtype}")
-    if idx.size and not (0 <= idx.min() and idx.max() < len(step_mats)):
+    codes = np.ascontiguousarray(codes)
+    k = len(step_mats)
+    width = block_width(k)
+    cols, tail = code_columns(n_steps, width) if n_steps else (0, 0)
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise InvalidArgumentError(f"codes must be integers, not {codes.dtype}")
+    if codes.ndim != 2 or codes.shape[1] != cols:
         raise InvalidArgumentError(
-            f"atom indices must lie in [0, {len(step_mats)}); "
-            f"got [{idx.min()}, {idx.max()}]")
+            f"{n_steps} steps in blocks of {width} take {cols} codes per sample; "
+            f"got shape {codes.shape}")
+    if codes.size:
+        lo, hi, last = codes.min(), codes.max(), codes[:, -1].max()
+        if lo < 0 or hi >= k ** width:
+            raise InvalidArgumentError(
+                f"codes must lie in [0, {k ** width}); got [{lo}, {hi}]")
+        if last >= k ** tail:
+            raise InvalidArgumentError(
+                f"last codes, of {tail} steps, must lie in [0, {k ** tail}); got {last}")
     if step_mats.shape[-1] == 2:
-        prod = _stoch2_products(step_mats, idx)
+        prod = _stoch2_products(step_mats, codes, n_steps)
         out = np.empty_like(prod)
         for i in range(2):
             for j in range(2):
                 out[:, i, j] = left[i, 0] * prod[:, 0, j] + left[i, 1] * prod[:, 1, j]
         return out
-    n_samples, n_steps = idx.shape
-    out = np.broadcast_to(left, (n_samples,) + left.shape).copy()
-    for j in range(n_steps):
-        out = out @ step_mats[idx[:, j]]
+    out = np.broadcast_to(left, (len(codes),) + left.shape).copy()
+    if cols:
+        table = _matrix_table(step_mats, width)
+        for j in range(cols - 1):
+            out = out @ table[codes[:, j]]
+        last_table = table if tail == width else _matrix_table(step_mats, tail)
+        out = out @ last_table[codes[:, -1]]
     return out
 
 
-# A two-atom law has only 256 distinct blocks of 8 steps.  One table holds
-# the composed map of every block, and each sample's aligned blocks gather
-# from it through one code each: `np.packbits` reads a block's atom indices
-# as a byte, first step most significant, and the table's rows are the bits
-# of their code in the same order.  The table composes its rows with
-# `_compose` itself, so the first three passes of `_compose` over a whole
-# chain do exactly the table's arithmetic on each aligned block.  The last
-# block and the r = n mod 8 leftover steps compose together, as `_compose`
-# folds the odd ends in the pass over the whole chain; a second table holds
-# all 2**(8 + r) such tails, composed by `_compose`, and each sample reads
-# its tail as one code from its last two packed bytes.  Every product is
-# therefore bit for bit the pairwise reduction's over single steps, with
-# one gather per eight steps.  Other laws, and chains shorter than a block,
-# gather one map per step.
-
-# Samples are taken in chunks of about _CHUNK_ELEMENTS steps; a chunk's
-# gathered maps take 8 MB each for a and b, or 1 MB with the block table.
-_CHUNK_ELEMENTS = 1 << 20
-_BLOCK = 8          # steps per table entry: one packed byte of two-atom indices
+def _matrix_table(step_mats: np.ndarray, width: int) -> np.ndarray:
+    """Products of all k^width blocks of width steps, left to right, as
+    (k^width, d, d): one stacked matmul per step of the block."""
+    digits = code_digits(len(step_mats), width)
+    table = step_mats[digits[:, 0]]
+    for j in range(1, width):
+        table = table @ step_mats[digits[:, j]]
+    return table
 
 
-def _stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """prod_j step_mats[idx[s, j]] for every sample s, for 2x2 unit-row-sum steps.
+# With k atoms there are only k^B distinct blocks of B steps.  One table
+# holds the composed map of every block, composed by `_compose` from the
+# block's single steps, and each sample's codes gather from it.  The last
+# whole block and the r < B steps of the last code compose together, as
+# `_compose` folds the odd end in its pass over the whole chain: a second
+# table holds all k^(B + r) <= 65,536 such tails, and each sample reads its
+# tail as one code, its last two codes joined in base k.  When B is a power
+# of two (k = 1, 2 and 4, and B = 1 above 16 atoms) the first log2(B)
+# passes of `_compose` over a whole chain do exactly the tables' arithmetic
+# on each aligned block and on the tail, so every product is bit for bit
+# the pairwise reduction over single steps.  At B = 5 (k = 3) and B = 3
+# (k = 5, 6) it is the pairwise reduction over the blocks of the blocks'
+# own reductions, which rounds as finely.
 
-    Entries of idx must lie in [0, k), as indexed_products checks: packbits
-    reads any nonzero entry as 1.
+# Samples are taken in chunks of about _CHUNK_CODES codes, whose gathered
+# maps (16 bytes each) take 512 KB.
+_CHUNK_CODES = 1 << 15
+
+
+def _stoch2_products(step_mats: np.ndarray, codes: np.ndarray, n_steps: int) -> np.ndarray:
+    """The product of the n_steps steps coded by codes[s] for every sample s,
+    for 2x2 unit-row-sum steps.
+
+    Codes must lie in their ranges, as indexed_products checks.
     """
     row_err = _row_sum_error(step_mats)
     if not row_err <= MEMBERSHIP_TOL:
         raise InvalidArgumentError(
             f"2x2 step matrices need unit row sums; off by {row_err:.3g}")
     atom_a, atom_b = _affine_maps(step_mats)
-    n_samples, n_steps = idx.shape
-    if n_steps == 0:
+    n_samples, cols = codes.shape
+    if cols == 0:
         return np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
-    blocked = len(step_mats) == 2 and n_steps >= _BLOCK
-    if blocked:
-        whole, leftover = divmod(n_steps, _BLOCK)
-        table_a, table_b = _block_table(atom_a, atom_b, _BLOCK)
-        if leftover:
-            tail_a, tail_b = _block_table(atom_a, atom_b, _BLOCK + leftover)
+    k = len(step_mats)
+    width = block_width(k)
+    _, tail = code_columns(n_steps, width)
+    table = _block_table(atom_a, atom_b, width)
+    fused = cols > 1 and tail < width
+    if fused:
+        n_maps, last_table = cols - 1, _block_table(atom_a, atom_b, width + tail)
+    elif tail < width:
+        n_maps, last_table = cols, _block_table(atom_a, atom_b, tail)
+    else:
+        n_maps, last_table = cols, table
     out = np.empty((n_samples, 2, 2))
-    rows = max(1, _CHUNK_ELEMENTS // n_steps)
+    rows = max(1, _CHUNK_CODES // cols)
     for start in range(0, n_samples, rows):
-        part = idx[start:start + rows]
-        if blocked:
-            packed = np.packbits(part, axis=1)
-            codes = packed[:, :whole]
-            a, b = np.take(table_a, codes), np.take(table_b, codes)
-            if leftover:
-                # the last whole block's byte, then the leftover steps, which
-                # packbits put in the high bits of the padded last byte
-                tail = ((packed[:, whole - 1].astype(np.uint16) << leftover)
-                        | (packed[:, whole] >> (_BLOCK - leftover)))
-                a[:, -1], b[:, -1] = tail_a[tail], tail_b[tail]
-        else:
-            a, b = atom_a[part], atom_b[part]
-        _stoch2_matrices(*_compose(a, b), out[start:start + rows])
+        part = codes[start:start + rows]
+        maps = np.take(table, part[:, :n_maps])
+        if last_table is not table:
+            last = part[:, -1].astype(np.intp)
+            if fused:
+                last += part[:, -2].astype(np.intp) * k ** tail
+            maps[:, -1] = last_table[last]
+        _stoch2_matrices(*_compose(maps.real, maps.imag), out[start:start + rows])
     return out
 
 
 def _block_table(atom_a: np.ndarray, atom_b: np.ndarray, width: int):
-    """Composed maps of all 2**width two-atom blocks of width steps.
+    """Composed maps of all k^width blocks of width steps over k atoms.
 
-    Row c composes the steps given by the bits of c, first step most
-    significant, as ``np.packbits`` orders them.  Built with ``_compose``,
-    so each entry is bit for bit the reduction of its steps in any row.
-    The build takes about 0.05 ms at width 8, under 1.3 ms up to width 12
-    (r <= 4 leftover steps) and 9-13 ms at width 15 (r = 7), on one core
-    with numpy 2.4.
+    Row c composes the steps given by the base-k digits of c, first step
+    most significant (``code_digits``).  Built with ``_compose``, so each
+    entry is bit for bit the reduction of its steps in any row.  The maps
+    come as complex a + ib, whose parts are a and b exactly, so a sample's
+    codes gather both in one pass.  At k = 2
+    the build takes about 0.05 ms at width 8, under 1.3 ms up to width 12
+    and 9-13 ms at width 15, on one core with numpy 2.4.
     """
-    shifts = np.arange(width - 1, -1, -1)
-    bits = (np.arange(1 << width)[:, None] >> shifts) & 1
-    return _compose(atom_a[bits], atom_b[bits])
+    digits = code_digits(len(atom_a), width)
+    a, b = _compose(atom_a[digits], atom_b[digits])
+    return a + 1j * b
 
 
 def _compose(a: np.ndarray, b: np.ndarray):

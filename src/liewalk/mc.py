@@ -9,6 +9,13 @@ itself underflows (below about e^-745).  Shards merge by summing counts and
 log-summing weights in shard order, so results are deterministic functions
 of (arguments, seed, shard count).
 
+Each shard draws its walks once, as block codes
+(``IncrementDistribution.sample_codes``): one alias draw per block of B
+steps (8 for two atoms), and no (samples, n) array of per-step indices.
+The endpoints come from ``_kernels.indexed_products`` on the codes, and a
+tilted estimate's atom counts from a table of per-code counts, a popcount
+at two atoms; a shard's memory is its samples x ceil(n / B) code bytes.
+
 Empirical rate curves n -> -(1/n) log p are finite-n surrogates for an
 asymptotic statement; every curve carries that disclaimer in its metadata.
 """
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import indexed_products, stoch2_log_norms
-from .distributions import IncrementDistribution
+from .distributions import IncrementDistribution, block_width, code_digits
 from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
 from .legendre import legendre, log_mgf
 from .lie import (
@@ -89,27 +96,37 @@ def _log(x: float) -> float:
     return float(np.log(x)) if x > 0.0 else float("-inf")
 
 
-def _event_distances(dist, n, event, idx):
-    """Distance-proxy values from the ball center to each sample endpoint."""
+def _event_distances(dist, n, event, codes):
+    """Distance-proxy values from the ball center to each sample endpoint,
+    for walks of n steps given as block codes (``sample_codes``)."""
     step_mats = _expm(dist.atom_stack() / n)
     center_inv = np.linalg.inv(event.center.entries)
-    end = indexed_products(step_mats, idx, center_inv)
+    end = indexed_products(step_mats, codes, center_inv, n)
     if dist.dim == 2:
         return stoch2_log_norms(end)
     logs, ok, _ = _logm_stack(end)
     return np.where(ok, _frobenius_norms(logs), np.inf)
 
 
-def _atom_counts(idx: np.ndarray, k: int) -> np.ndarray:
-    """How often each of k atoms occurs in each row of idx, as (samples, k) int64.
+def _atom_counts(codes: np.ndarray, k: int, n: int) -> np.ndarray:
+    """How often each of k atoms occurs in each sample's n steps, as
+    (samples, k) int64, from its block codes (``sample_codes``).
 
-    For two atoms the count of atom 1 is a popcount of the packed rows,
-    whose zero padding counts nothing, and atom 0 has the rest.
+    A (k^B, k) table holds each code's digit counts, gathered once per
+    atom; at k = 2 a code's count of atom 1 is its popcount, with no table.
+    A last code of r < B steps reads as B digits whose B - r leading zeros
+    count only towards atom 0, so atom 0 takes n minus the other counts.
     """
+    counts = np.empty((len(codes), k), dtype=np.int64)
     if k == 2:
-        ones = np.bitwise_count(np.packbits(idx, axis=1)).sum(axis=1, dtype=np.int64)
-        return np.stack([idx.shape[1] - ones, ones], axis=1)
-    return np.stack([(idx == a).sum(axis=1) for a in range(k)], axis=1)
+        counts[:, 1] = np.bitwise_count(codes).sum(axis=1, dtype=np.int64)
+    else:
+        digits = code_digits(k, block_width(k))
+        table = (digits[:, :, None] == np.arange(k)).sum(axis=1, dtype=np.uint8)
+        for a in range(1, k):
+            counts[:, a] = np.take(table[:, a], codes).sum(axis=1, dtype=np.int64)
+    counts[:, 0] = n - counts[:, 1:].sum(axis=1)
+    return counts
 
 
 def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
@@ -147,12 +164,12 @@ def tilted_estimator(dist: IncrementDistribution, n: int, event: BallEvent,
     log_wsq = -np.inf       # log of the summed squared hit weights
     for shard_seed, count in zip(children, per_shard):
         rng = np.random.default_rng(shard_seed)
-        idx = dist.sample_indices(rng, (count, n), weights=weights)
-        dists = _event_distances(dist, n, event, idx)
+        codes = dist.sample_codes(rng, count, n, weights=weights)
+        dists = _event_distances(dist, n, event, codes)
         hits = dists <= event.radius
         hit_count += int(hits.sum())
         if tilt is not None:
-            counts = _atom_counts(idx, dist.n_atoms)
+            counts = _atom_counts(codes, dist.n_atoms, n)
             logw = (-(counts @ scores) + n * lam_mgf)[hits]
             log_wsum = np.logaddexp(log_wsum, logsumexp(logw))
             log_wsq = np.logaddexp(log_wsq, logsumexp(2.0 * logw))

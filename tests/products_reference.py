@@ -8,6 +8,12 @@ liewalk._kernels keeps for every stack but long 2x2 unit-row-sum chains.
 steps carried in long double (64-bit mantissa on x86-64) through the affine
 map of the product's first column, so its own rounding is about 2^11 times
 finer than either float64 kernel's.
+
+``stoch2_products`` composes a Monte Carlo batch's per-step maps pairwise,
+and ``stoch2_block_products`` block by block, as the block-code kernel
+does.  ``encode_codes`` and ``decode_codes`` convert between per-step atom
+indices and block codes: B steps per code, base k, first step most
+significant, the last code holding the remaining 1 <= r <= B steps.
 """
 
 import numpy as np
@@ -66,7 +72,7 @@ def stoch2_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """prod_j step_mats[idx[s, j]] for 2x2 unit-row-sum steps, one step at a time.
 
     The gather-then-compose kernel that liewalk._kernels ran before its block
-    table: every step's affine map (a, b) = (S00 - S10, S10) of the first
+    tables: every step's affine map (a, b) = (S00 - S10, S10) of the first
     column is gathered, and ``compose_pairwise`` reduces each row.
     """
     step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
@@ -92,3 +98,64 @@ def compose_pairwise(a: np.ndarray, b: np.ndarray):
             a_next[:, -1] *= a[:, -1]
         a, b = a_next, b_next
     return a[:, 0], b[:, 0]
+
+
+def code_width(k: int) -> int:
+    """Steps per block code for k atoms: the largest B <= 8 with k**B <= 256."""
+    return max(w for w in range(1, 9) if k ** w <= 256)
+
+
+def encode_codes(idx: np.ndarray, k: int) -> np.ndarray:
+    """The block codes of per-step atom indices (samples, n), as int64.
+
+    Steps are read B = code_width(k) at a time as base-k digits, first step
+    most significant; the last code holds the 1 <= r <= B remaining steps.
+    """
+    width = code_width(k)
+    n = idx.shape[1]
+    cols = []
+    for start in range(0, n, width):
+        block = idx[:, start:start + width].astype(np.int64)
+        code = np.zeros(len(idx), dtype=np.int64)
+        for j in range(block.shape[1]):
+            code = code * k + block[:, j]
+        cols.append(code)
+    return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0), dtype=np.int64)
+
+
+def decode_codes(codes: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The per-step atom indices (samples, n) of block codes, as int64."""
+    width = code_width(k)
+    out = np.empty((len(codes), n), dtype=np.int64)
+    for c, start in enumerate(range(0, n, width)):
+        code = codes[:, c].astype(np.int64)
+        for j in reversed(range(start, min(start + width, n))):
+            code, out[:, j] = divmod(code, k)
+    return out
+
+
+def stoch2_block_products(step_mats: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """prod_j step_mats[idx[s, j]] for 2x2 unit-row-sum steps, block by block.
+
+    Each aligned block of B = code_width(k) steps is reduced pairwise on
+    its own, the last whole block together with the r < B leftover steps,
+    and ``compose_pairwise`` then reduces the blocks' maps.  When B is a
+    power of two this is ``stoch2_products`` bit for bit.
+    """
+    step_mats = np.ascontiguousarray(step_mats, dtype=np.float64)
+    width = code_width(len(step_mats))
+    n = idx.shape[1]
+    atom_a = step_mats[:, 0, 0] - step_mats[:, 1, 0]
+    atom_b = step_mats[:, 1, 0]
+    bounds = list(range(0, n, width)) + [n]
+    if len(bounds) > 2 and n % width:
+        del bounds[-2]      # the last whole block takes the leftover steps
+    maps = [compose_pairwise(atom_a[idx[:, lo:hi]], atom_b[idx[:, lo:hi]])
+            for lo, hi in zip(bounds, bounds[1:])]
+    a, b = compose_pairwise(np.stack([m[0] for m in maps], axis=1),
+                            np.stack([m[1] for m in maps], axis=1))
+    out = np.empty((len(idx), 2, 2))
+    out[:, 0, 0] = a + b
+    out[:, 1, 0] = b
+    out[:, :, 1] = 1.0 - out[:, :, 0]
+    return out

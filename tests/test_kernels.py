@@ -14,7 +14,13 @@ from liewalk.lie import OutOfDomainError, _divide, _expm, _logm, _logm_stack
 from logm_reference import logm as reference_logm
 from products_reference import matmul_scan
 from products_reference import partial_products as looped_partial_products
-from products_reference import stoch2_partial_products_longdouble, stoch2_products
+from products_reference import (
+    decode_codes,
+    encode_codes,
+    stoch2_block_products,
+    stoch2_partial_products_longdouble,
+    stoch2_products,
+)
 from stoch2_reference import (
     LOG_ATOL,
     LOG_RTOL,
@@ -132,7 +138,7 @@ def test_partial_products_3x3_against_loop(rng):
 def test_indexed_products_against_manual(step_mats, rng):
     idx = rng.integers(0, 3, size=(5, 30)).astype(np.uint8)
     left = np.linalg.inv(step_mats[0])
-    got = indexed_products(step_mats, idx, left)
+    got = indexed_products(step_mats, encode_codes(idx, 3), left, 30)
     for s in range(5):
         acc = left.copy()
         for j in range(30):
@@ -141,7 +147,7 @@ def test_indexed_products_against_manual(step_mats, rng):
 
 
 def stacked_loop(step_mats, idx, left):
-    """One stacked matmul per step across all samples (the d > 2 kernel)."""
+    """One stacked matmul per step across all samples."""
     out = np.broadcast_to(left, (idx.shape[0],) + left.shape).copy()
     for j in range(idx.shape[1]):
         out = out @ step_mats[idx[:, j]]
@@ -149,16 +155,39 @@ def stacked_loop(step_mats, idx, left):
 
 
 @pytest.mark.parametrize("n_samples, n_steps", [
-    (40, 1), (40, 2), (40, 37), (120, 20000),   # 120 x 20000 spans three row chunks
+    (40, 1), (40, 2), (40, 37), (120, 20000),   # 120 x 4,000 codes span 15 row chunks
 ])
 def test_indexed_products_2x2_against_stacked_loop(step_mats, rng, n_samples, n_steps):
     # pairwise composition rounds differently from the sequential chain:
     # the stated tolerance is 1e-15 per step
     idx = rng.integers(0, 3, size=(n_samples, n_steps)).astype(np.uint8)
     left = np.linalg.inv(step_mats[1])
-    got = indexed_products(step_mats, idx, left)
+    got = indexed_products(step_mats, encode_codes(idx, 3), left, n_steps)
     np.testing.assert_allclose(got, stacked_loop(step_mats, idx, left),
                                rtol=0, atol=1e-15 * n_steps)
+
+
+def random_group_steps(rng, k, d, n):
+    """exp(X / n) for k random d x d generators X with rates up to 1.5."""
+    atoms = rng.uniform(0.0, 1.5, size=(k, d, d))
+    for a in atoms:
+        np.fill_diagonal(a, 0.0)
+        a -= np.diag(a.sum(axis=1))
+    return _expm(atoms / n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [3, 4])
+def test_indexed_products_block_tables_within_stated_tolerance(rng, k, d):
+    # B = 5 at k = 3 and 4 at k = 4; blocks compose in their own order, so
+    # the products keep the stated 1e-15 per step of the stacked chain
+    for n in [4, 5, 7, 13, 40, 160, 1000]:
+        steps = random_group_steps(rng, k, d, n)
+        idx = rng.integers(0, k, size=(200, n))
+        left = np.linalg.inv(steps[1])
+        got = indexed_products(steps, encode_codes(idx, k), left, n)
+        np.testing.assert_allclose(got, stacked_loop(steps, idx, left),
+                                   rtol=0, atol=1e-15 * n, err_msg=f"n={n}")
 
 
 def test_indexed_products_2x2_carries_left_row_sums(step_mats, rng):
@@ -167,7 +196,7 @@ def test_indexed_products_2x2_carries_left_row_sums(step_mats, rng):
     idx = rng.integers(0, 3, size=(30, 25)).astype(np.uint8)
     left = np.linalg.inv(step_mats[2])
     left[:, 0] += 1e-10
-    got = indexed_products(step_mats, idx, left)
+    got = indexed_products(step_mats, encode_codes(idx, 3), left, 25)
     np.testing.assert_allclose(got, stacked_loop(step_mats, idx, left),
                                rtol=0, atol=1e-15 * 25)
     np.testing.assert_allclose(got.sum(axis=-1) - 1.0, 1e-10, rtol=1e-4)
@@ -177,19 +206,19 @@ def test_indexed_products_2x2_carries_left_row_sums(step_mats, rng):
 def test_indexed_products_2x2_center_within_stated_tolerance(step_mats, rng, n_steps):
     # left is applied entry by entry, not by a 2x2 matmul: two roundings of
     # products up to |left| <= 2.4 and one of their sum stay within 4.5e-16
-    idx = rng.integers(0, 2, size=(500, n_steps)).astype(np.uint8)
-    prod = _kernels._stoch2_products(step_mats[:2], idx)
+    codes = encode_codes(rng.integers(0, 2, size=(500, n_steps)), 2)
+    prod = _kernels._stoch2_products(step_mats[:2], codes, n_steps)
     for c in (0.2, 0.5, 0.8):
         left = np.linalg.inv(_expm(np.array([[-c, c], [1 - c, c - 1.0]])))
-        np.testing.assert_allclose(indexed_products(step_mats[:2], idx, left), left @ prod,
-                                   rtol=0, atol=4.5e-16)
+        np.testing.assert_allclose(indexed_products(step_mats[:2], codes, left, n_steps),
+                                   left @ prod, rtol=0, atol=4.5e-16)
 
 
 def test_indexed_products_2x2_off_group_raises(step_mats):
     bad = step_mats.copy()
     bad[1, 0, 1] += 1e-8
     with pytest.raises(InvalidArgumentError):
-        indexed_products(bad, np.zeros((2, 3), dtype=np.uint8), np.eye(2))
+        indexed_products(bad, np.zeros((2, 1), dtype=np.uint8), np.eye(2), 3)
 
 
 def random_stoch2_steps(rng, k, n):
@@ -206,44 +235,53 @@ def random_stoch2_chain(rng, n):
     return random_stoch2_steps(rng, 3, n)[rng.integers(0, 3, size=n)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 17])   # only k = 2 reads the block table
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 17])     # B = 8, 8, 5, 4 and 1
 def test_stoch2_products_bit_identical_to_stepwise_compose(rng, k):
-    # the block table does the first three passes of the pairwise reduction
-    # over single steps, and the last block folds the leftover steps as it does
-    for n in [*range(1, 71), 161, 1023, 20000]:
+    # the tables hold each block's pairwise reduction over its single steps,
+    # the last whole block's with the leftover steps folded in; at B = 1, 4
+    # and 8 that is the first log2(B) passes of the reduction over the whole
+    # chain, so the products are the stepwise reduction's bit for bit
+    for n in [*range(1, 71), 160, 161, 1023, 20000]:
         steps = random_stoch2_steps(rng, k, n)
         idx = rng.integers(0, k, size=(4 if n > 1000 else 30, n)).astype(np.uint8)
-        assert np.array_equal(_kernels._stoch2_products(steps, idx),
-                              stoch2_products(steps, idx)), n
+        got = _kernels._stoch2_products(steps, encode_codes(idx, k), n)
+        blocked = stoch2_block_products(steps, idx)
+        assert np.array_equal(got, blocked), n
+        if k != 3:
+            assert np.array_equal(blocked, stoch2_products(steps, idx)), n
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
 def test_stoch2_products_any_integer_index_dtype(rng, k, dtype):
+    # int8 holds codes below 128 only: x % 128 keeps each code in its range
     steps = random_stoch2_steps(rng, k, 37)
-    idx = rng.integers(0, k, size=(20, 37)).astype(np.uint8)
-    assert np.array_equal(_kernels._stoch2_products(steps, idx.astype(dtype)),
-                          stoch2_products(steps, idx))
+    codes = encode_codes(rng.integers(0, k, size=(20, 37)), k) % 128
+    want = stoch2_block_products(steps, decode_codes(codes, k, 37))
+    assert np.array_equal(_kernels._stoch2_products(steps, codes.astype(dtype), 37), want)
 
 
 @pytest.mark.parametrize("n_steps", [160, 165])
 def test_stoch2_products_bit_identical_across_row_chunks(rng, monkeypatch, n_steps):
-    # 1,000 steps per chunk: six rows, and 50 samples span nine chunks
-    monkeypatch.setattr(_kernels, "_CHUNK_ELEMENTS", 1000)
+    # 125 codes per chunk: six rows of 20 codes at n = 160, five of 21 at
+    # n = 165, and 50 samples span nine or ten chunks
+    monkeypatch.setattr(_kernels, "_CHUNK_CODES", 125)
     steps = random_stoch2_steps(rng, 2, n_steps)
     idx = rng.integers(0, 2, size=(50, n_steps)).astype(np.uint8)
-    assert np.array_equal(_kernels._stoch2_products(steps, idx), stoch2_products(steps, idx))
+    assert np.array_equal(_kernels._stoch2_products(steps, encode_codes(idx, 2), n_steps),
+                          stoch2_products(steps, idx))
 
 
 def test_stoch2_products_block_codes_first_step_most_significant():
-    # the two-state atoms do not commute, so a block read in the wrong bit
+    # the two-state atoms do not commute, so a block read in the wrong digit
     # order picks the product of its steps in reverse
     alpha = 3.0
     atoms = np.array([[[-alpha, alpha], [0.0, 0.0]], [[0.0, 0.0], [alpha, -alpha]]])
     steps = _expm(atoms / 16)
     one_hot = np.eye(16, dtype=np.uint8)    # row j: atom 1 at step j only
     idx = np.concatenate([one_hot, 1 - one_hot])
-    got = _kernels._stoch2_products(steps, idx)
+    codes = np.packbits(idx, axis=1)        # bytes, first step most significant
+    got = _kernels._stoch2_products(steps, codes, 16)
     assert np.array_equal(got, stoch2_products(steps, idx))
     # mirroring the first block's steps moves every product
     assert (np.abs(got[:8] - got[7::-1]).max(axis=(1, 2)) > 1e-6).all()
@@ -252,14 +290,16 @@ def test_stoch2_products_block_codes_first_step_most_significant():
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("bad", [
-    np.array([[0, -1, 1]], dtype=np.int8),    # negative: would pick the last atom
-    np.array([[0, 1, 3]], dtype=np.uint8),    # k = 3 atoms: one past the end
-    np.array([[0.0, 1.0, 2.0]]),              # not integers
+    np.array([[0, -1, 1]], dtype=np.int8),      # negative: would pick the last entry
+    np.array([[0, 243, 1]], dtype=np.uint8),    # k = 3 atoms, B = 5: one past 3^5
+    np.array([[0.0, 1.0, 2.0]]),                # not integers
+    np.array([[0, 1, 27]], dtype=np.uint8),     # the last code has 3 steps: one past 3^3
+    np.array([[0, 1]], dtype=np.uint8),         # 13 steps take 3 codes, not 2
 ])
 def test_indexed_products_rejects_bad_indices(d, bad):
     steps = np.broadcast_to(np.eye(d), (3, d, d))
     with pytest.raises(InvalidArgumentError):
-        indexed_products(steps, bad, np.eye(d))
+        indexed_products(steps, bad, np.eye(d), 13)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -268,7 +308,7 @@ def test_indexed_products_of_zero_steps_is_left(rng, d):
     steps = np.broadcast_to(np.eye(d), (3, d, d))
     left = _expm(rng.uniform(-0.2, 0.2, size=(d, d)) - 0.1 * d * np.eye(d))
     left /= left.sum(axis=1, keepdims=True)
-    got = indexed_products(steps, np.zeros((3, 0), np.uint8), left)
+    got = indexed_products(steps, np.zeros((3, 0), np.uint8), left, 0)
     assert got.shape == (3, d, d)
     assert np.array_equal(got, np.broadcast_to(left, (3, d, d)))
 

@@ -22,8 +22,10 @@ from liewalk import (
 )
 from liewalk._kernels import indexed_products, stoch2_log_norms
 from liewalk.lie import GroupElement, _expm
+from liewalk.distributions import _alias_table
 from liewalk.mc import _atom_counts, _event_distances
 from logm_reference import logm as reference_logm
+from products_reference import decode_codes, encode_codes
 
 
 def line_x(c):
@@ -237,10 +239,11 @@ def test_event_distances_3x3_match_logm_loop():
     law = IncrementDistribution(atoms=(rot, shear, small), weights=(0.3, 0.3, 0.4))
     event = BallEvent(GroupElement(np.eye(3)), 0.5)
     idx = np.array([[2, 2], [0, 0], [0, 1], [1, 0], [1, 1], [2, 0]], dtype=np.uint8)
-    got = _event_distances(law, 2, event, idx)
+    codes = encode_codes(idx, 3)
+    got = _event_distances(law, 2, event, codes)
     step_mats = np.array([_expm(a.entries / 2) for a in law.atoms])
     looped = []
-    for m in indexed_products(step_mats, idx, np.eye(3)):
+    for m in indexed_products(step_mats, codes, np.eye(3), 2):
         try:
             looped.append(np.linalg.norm(reference_logm(m)))
         except OutOfDomainError:
@@ -278,10 +281,9 @@ def test_tilted_estimate_below_float_floor(dist):
     assert 1.0 <= row.ess <= row.samples
 
 
-def searchsorted_indices(law, rng, size, weights=None):
+def searchsorted_indices(law, rng, size):
     """Inverse-CDF sampling by binary search over the cumulative weights."""
-    w = np.asarray(law.weights if weights is None else weights, dtype=np.float64)
-    cum = np.cumsum(w)
+    cum = np.cumsum(law.weights)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(size), side="right")
     return idx.astype(np.min_scalar_type(law.n_atoms - 1))
@@ -302,35 +304,178 @@ def test_sample_indices_match_searchsorted(k, size):
     np.testing.assert_array_equal(got, want)
 
 
-def test_sample_indices_tilted_match_searchsorted(dist):
-    tilt = AlgebraVector([[-0.3, 0.3], [1.2, -1.2]])
-    scores = np.array([tilt.inner(a) for a in dist.atoms])
-    w = np.array(dist.weights) * np.exp(scores)
-    w /= w.sum()
-    got = dist.sample_indices(np.random.default_rng(4), (300, 401), weights=w)
-    want = searchsorted_indices(dist, np.random.default_rng(4), (300, 401), weights=w)
-    np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("weights, atom", [
-    ([0.0, 1.0], 1),        # a weight underflowed to zero by a tilt never draws its atom
-    ([1.0, 0.0], 0),        # the cumulative weight reaches 1 at atom 0, and u < 1
-])
-def test_sample_indices_zero_weight_atom_is_never_drawn(dist, weights, atom):
-    got = dist.sample_indices(np.random.default_rng(4), 1000, weights=weights)
-    assert (got == atom).all()
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_atom_counts_match_comparisons(k):
-    # two atoms count by popcount over packed rows, whose last byte is
-    # zero-padded whenever n mod 8 != 0
+    # two atoms count by popcount of the codes, more by a table of digit
+    # counts; a last code of r < B steps has B - r leading zero digits
     rng = np.random.default_rng(12)
     for n in [*range(1, 71), 20_000]:
         idx = rng.integers(0, k, size=(40, n)).astype(np.uint8)
         want = np.stack([(idx == a).sum(axis=1) for a in range(k)], axis=1)
-        got = _atom_counts(idx, k)
+        got = _atom_counts(encode_codes(idx, k).astype(np.uint8), k, n)
         assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("n", [20, 160])
+def test_event_distances_2x2_match_stacked_loop(dist, n):
+    # the 2x2 products compose pairwise, within 1e-15 per step of the chain
+    event = BallEvent(exp_matrix(line_x(0.8)), 0.03)
+    codes = dist.sample_codes(np.random.default_rng(9), 2000, n)
+    idx = decode_codes(codes, 2, n)
+    got = _event_distances(dist, n, event, codes)
+    step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
+    out = np.linalg.inv(event.center.entries)[None].repeat(2000, axis=0)
+    for j in range(n):
+        out = out @ step_mats[idx[:, j]]
+    np.testing.assert_allclose(got, stoch2_log_norms(out), rtol=0, atol=1e-15 * n)
+
+
+# ---------------------------------------------------------------------------
+# block codes: B steps per code, drawn by Walker's alias method
+
+def skewed_law(k):
+    atoms = tuple(AlgebraVector([[-a, a], [0.0, 0.0]]) for a in np.linspace(0.1, 1.0, k))
+    w = np.arange(1.0, k + 1)
+    return IncrementDistribution(atoms=atoms, weights=tuple(w / w.sum()))
+
+
+def tilted_weights(law):
+    tilt = AlgebraVector([[-1.5, 1.5], [0.0, 0.0]])
+    w = np.array(law.weights) * np.exp([tilt.inner(a) for a in law.atoms])
+    return w / w.sum()
+
+
+LAWS = {
+    "uniform": lambda k: (uniform_law(k), None),
+    "skewed": lambda k: (skewed_law(k), None),
+    "tilted": lambda k: (uniform_law(k), tilted_weights(uniform_law(k))),
+}
+
+
+def product_law(w, width):
+    """Probabilities of the k^width codes of width i.i.d. steps of law w."""
+    p = np.ones(1)
+    for _ in range(width):
+        p = np.outer(p, w).ravel()
+    return p
+
+
+def chi_square_p(counts, probs):
+    """Pearson's test of counts against probs, codes with expected counts
+    below 5 pooled into one cell."""
+    from scipy.stats import chisquare
+
+    expected = probs * counts.sum()
+    low = expected < 5
+    obs = np.append(counts[~low], counts[low].sum())
+    exp = np.append(expected[~low], expected[low].sum())
+    keep = exp > 0
+    return chisquare(obs[keep], exp[keep] * obs[keep].sum() / exp[keep].sum()).pvalue
+
+
+@pytest.mark.parametrize("k, width", [(2, 8), (3, 5), (4, 4)])
+@pytest.mark.parametrize("case", LAWS)
+def test_sample_codes_follow_the_product_law(k, width, case):
+    # 7 whole blocks and a last code of 3 steps per sample; fixed seeds
+    law, weights = LAWS[case](k)
+    n = 7 * width + 3
+    codes = law.sample_codes(np.random.default_rng(100 + k), 150_000, n, weights=weights)
+    assert codes.shape == (150_000, 8) and codes.dtype == np.uint8
+    w = np.array(law.weights if weights is None else weights)
+    whole = np.bincount(codes[:, :-1].ravel(), minlength=k ** width)
+    last = np.bincount(codes[:, -1], minlength=k ** 3)
+    assert len(whole) == k ** width and len(last) == k ** 3
+    assert chi_square_p(whole, product_law(w, width)) > 0.001
+    assert chi_square_p(last, product_law(w, 3)) > 0.001
+
+
+def alias_probabilities(cut, outcomes):
+    """What an alias table gives each outcome: its own threshold, plus the
+    rest of every cell aliased to it, over the number of cells."""
+    size = len(cut)
+    threshold = cut - np.arange(size)
+    assert np.array_equal(outcomes[0::2], np.arange(size))
+    return (threshold + np.bincount(outcomes[1::2], weights=1.0 - threshold,
+                                    minlength=size)) / size
+
+
+@pytest.mark.parametrize("w", [
+    [0.5, 0.5], [0.3, 0.7], [0.8, 0.2], [1.0 / 3] * 3, [0.2, 0.3, 0.5],
+    [0.1, 0.2, 0.3, 0.4], [0.0, 1.0], [0.5, 0.0, 0.5], [0.25, 0.25, 0.0, 0.5],
+])
+def test_alias_table_reproduces_every_code_probability(w):
+    w = np.array(w)
+    width = {2: 8, 3: 5, 4: 4}[len(w)]
+    for r in range(1, width + 1):
+        p = product_law(w, r)
+        cut, outcomes = _alias_table(p, np.uint8)
+        np.testing.assert_allclose(alias_probabilities(cut, outcomes), p, rtol=0, atol=1e-15)
+        # a code of probability 0 has threshold 0, and no cell aliases to it
+        zero = np.flatnonzero(p == 0)
+        assert np.array_equal(cut[zero], zero)
+        assert not np.isin(outcomes[1::2], zero).any()
+
+
+def test_alias_table_pairs_zero_codes_first():
+    # the final step gives threshold 1 to every entry left unpaired; here
+    # the probabilities fall 0.35 short of 1, so the entries above 1 run out
+    # early, and a zero code paired last would be left with threshold 1
+    p = np.array([0.0, 0.05, 0.3, 0.3])
+    cut, outcomes = _alias_table(p, np.uint8)
+    assert cut[0] == 0.0 and outcomes[1] != 0
+    assert not (outcomes[1::2] == 0).any()
+
+
+def test_sample_codes_tilted_match_one_uniform_per_code(dist):
+    # one uniform per code, row-major, from the same stream as one
+    # rng.random call whatever the chunking, through the main table and,
+    # for the last column of r < B steps, the tail table
+    w = tilted_weights(dist)
+    for samples, n in [(1000, 13), (7, 70_000), (70_000, 1), (3, 9), (300, 401)]:
+        got = dist.sample_codes(np.random.default_rng(4), samples, n, weights=w)
+        cols = -(-n // 8)
+        u = np.random.default_rng(4).random((samples, cols))
+        want = np.empty((samples, cols), dtype=np.int64)
+        for cells, width in [(np.s_[:, :-1], 8), (np.s_[:, -1], n - 8 * (cols - 1))]:
+            cut, outcomes = _alias_table(product_law(w, width), np.int64)
+            x = u[cells] * len(cut)
+            i = np.floor(x).astype(np.int64)
+            want[cells] = np.where(x < cut[i], i, outcomes[2 * i + 1])
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want, err_msg=f"{samples} x {n}")
+
+
+@pytest.mark.parametrize("k, width, dtype", [
+    (1, 8, np.uint8), (2, 8, np.uint8), (3, 5, np.uint8), (4, 4, np.uint8),
+    (5, 3, np.uint8), (16, 2, np.uint8), (17, 1, np.uint8), (300, 1, np.uint16),
+])
+def test_sample_codes_layout(k, width, dtype):
+    # ceil(n / B) codes per sample, uint8 up to 256 atoms; a point mass
+    # draws only code 0, and 300 atoms reach every index past 255
+    law = uniform_law(k) if k > 1 else IncrementDistribution.point_mass(line_x(0.3))
+    for n in (1, width, 2 * width + 1, 1000):
+        codes = law.sample_codes(np.random.default_rng(3), 400, n)
+        assert codes.dtype == dtype and codes.shape == (400, -(-n // width))
+        if k == 1:
+            assert not codes.any()
+    if k == 300:
+        codes = law.sample_codes(np.random.default_rng(3), 100, 1000)
+        assert len(np.unique(codes)) == 300 and codes.max() == 299
+
+
+@pytest.mark.parametrize("weights, atom", [
+    ([0.0, 1.0], 1),        # a weight underflowed to zero by a tilt never draws its atom
+    ([1.0, 0.0], 0),
+    ([0.5, 0.0, 0.5], None),
+])
+def test_sample_codes_zero_weight_atom_is_never_drawn(weights, atom):
+    law = uniform_law(len(weights))
+    for n in (5, 13, 160):
+        codes = law.sample_codes(np.random.default_rng(4), 2000, n, weights=weights)
+        idx = decode_codes(codes, len(weights), n)
+        assert not (idx == weights.index(0.0)).any(), n
+        if atom is not None:
+            assert (idx == atom).all()
 
 
 @pytest.mark.parametrize("weights", [
@@ -341,22 +486,9 @@ def test_atom_counts_match_comparisons(k):
     [np.inf, 1.0],
     [-0.5, 1.5],            # negative, though summing to 1
 ])
-def test_sample_indices_rejects_bad_weights(dist, weights):
+def test_sample_codes_rejects_bad_weights(dist, weights):
     with pytest.raises(InvalidArgumentError):
-        dist.sample_indices(np.random.default_rng(0), 10, weights=weights)
-
-
-@pytest.mark.parametrize("n", [20, 160])
-def test_event_distances_2x2_match_stacked_loop(dist, n):
-    # the 2x2 products compose pairwise, within 1e-15 per step of the chain
-    event = BallEvent(exp_matrix(line_x(0.8)), 0.03)
-    idx = dist.sample_indices(np.random.default_rng(9), (2000, n))
-    got = _event_distances(dist, n, event, idx)
-    step_mats = np.array([_expm(a.entries / n) for a in dist.atoms])
-    out = np.linalg.inv(event.center.entries)[None].repeat(2000, axis=0)
-    for j in range(n):
-        out = out @ step_mats[idx[:, j]]
-    np.testing.assert_allclose(got, stoch2_log_norms(out), rtol=0, atol=1e-15 * n)
+        dist.sample_codes(np.random.default_rng(0), 10, 20, weights=weights)
 
 
 # Rows of two curves (n = 20, 37, 160; 3,000 samples in two shards), pinned
@@ -365,24 +497,24 @@ def test_event_distances_2x2_match_stacked_loop(dist, n):
 # where it was.
 PINNED_ROW_FIELDS = ("weighted_hits", "p", "p_lo", "p_hi", "rate", "rate_lo", "rate_hi", "ess")
 PINNED_ROWS = {
+    # re-pinned when Monte Carlo drew block codes (one alias draw per 8
+    # steps) in place of per-step atom indices: every draw changed; each
+    # new row's interval overlaps the previous pin's
     "none": [
-        "0000000000649740560e2db29defdf3f09e4f6f7aecade3f1ddf58934b8ae03f"
-        "fc1ac8ccbacba13f9675648ffde4a03f2ce206f7dabaa23f0000000000649740",
-        "0000000000fc9d40df96b53a2678e43fb85fc83908eae33fbe07e2135703e53f"
-        "abf37e083fbb883f5d2a3558c547873fe8b9e7b8da408a3f0000000000fc9d40",
-        "000000000034a6408479a2fe8d50ee3f509c8dab430aee3fb2f471e0788dee3f"
-        "945db8243e29363f4af5b8db5cf5323f65e2693b4ee3393f000000000034a640",
+        "0000000000c49740d34d62105839e03fa6082cae9d4ddf3fc3c39bbdbbcbe03f"
+        "8443e1ca7e63a13f463898d37b80a03f8c7005afe44ea23f0000000000c49740",
+        "0000000000dc9e40111111111111e53fe9ec7b8a7584e43fc73ab34f5b9ae53f"
+        "cca3c5c9a823873f0a19030c74bf853f7d2ba787ff99883f0000000000dc9e40",
+        "000000000052a640add531c18379ee3fda33d0f02d36ee3f80c7894e5fb3ee3f"
+        "7df121354301343fe816ed8f7cfa303fa6e808a8388e373f000000000052a640",
     ],
-    # re-pinned when the distances' s became M00 - M10 (was tr M - 1) and
-    # the auto tilt's log of the center the closed form: the same hits at
-    # every n, every field within 1.8e-14 relative of the previous pin
     "auto": [
-        "73c65bce616f404099b7809d7a70863f80fddbc1ec6a843faf7125790876883f"
-        "1a109bc069e3cc3fb883274c1356cc3f76af90bb1a7ecd3f301b7ef3358c7940",
-        "2da6dc1297f406406494e51f81574f3fabf98fa766104b3f8b971dcc4dcf513f"
-        "098de625110dc83f07100848c29bc73f1693c053078fc83f722c3b5e601e6840",
-        "32e7c97144d2743e49a8e879976dbc3d8014738fd795af3d2ae30b962188c43d"
-        "fe4e3dfeb780c33f2257f6b26735c33f898e13591bf9c33f049149d8e6513340",
+        "c3e6481b15943f40c3175ccebb8e853f12bc28d30baa833f73738fc96b73873f"
+        "eae3220d1925cd3fa20239f42c9bcc3ff63076eab4bbcd3f82412632ebb17a40",
+        "5904c238e87605407cc6ca3d614e4d3fa1822d031ac7493f2a05343cd46a503f"
+        "47f0b4788a48c83f314803f5dbe3c73f7873178927bac83fa51e916ad16f6e40",
+        "d293cc4e1a4b7a3e0420037819f3c13d0528d6170aadb33d002c1be4ad0fca3d"
+        "429a1f62ee50c33f035694ab9004c33f02d95fd214ccc33fa5c0b20b5bb13240",
     ],
 }
 
@@ -400,3 +532,54 @@ def test_rate_curve_rows_pinned(dist, policy, center_x, radius, seed):
     got = [np.array([getattr(r, f) for f in PINNED_ROW_FIELDS], dtype="<f8").tobytes().hex()
            for r in curve.rows]
     assert got == PINNED_ROWS[policy]
+
+
+# ---------------------------------------------------------------------------
+# an exact oracle at small n: all 2^12 step sequences of the equal-rate law
+
+ORACLE_N = 12
+
+
+@pytest.fixture(scope="module")
+def oracle_endpoints(dist):
+    """The endpoint of each of the 4,096 sequences of 12 steps, each of
+    probability 2^-12 under the equal-rate two-state law, by a sequential
+    chain of matmuls."""
+    assert dist.weights == (0.5, 0.5)
+    steps = np.array([_expm(a.entries / ORACLE_N) for a in dist.atoms])
+    seqs = (np.arange(2 ** ORACLE_N)[:, None] >> np.arange(ORACLE_N - 1, -1, -1)) & 1
+    ends = np.broadcast_to(np.eye(2), (len(seqs), 2, 2)).copy()
+    for j in range(ORACLE_N):
+        ends = ends @ steps[seqs[:, j]]
+    return ends
+
+
+def exact_ball_probability(ends, event):
+    """The share of sequences whose endpoint lies in the ball, by the
+    per-matrix log; no distance lies within 1e-5 of the radius, so the
+    kernels' rounding cannot move a sequence across it."""
+    center_inv = np.linalg.inv(event.center.entries)
+    dists = np.array([np.linalg.norm(reference_logm(center_inv @ g)) for g in ends])
+    assert np.abs(dists - event.radius).min() > 1e-5
+    return float(np.mean(dists <= event.radius))
+
+
+@pytest.mark.parametrize("center_x, radius, p_exact", [
+    (None, 0.05, 832 / 4096),           # the mean ball
+    (line_x(0.8), 0.03, 74 / 4096),     # a rarer ball off the mean
+], ids=["mean", "c0.8"])
+def test_estimators_cover_the_exact_small_n_probability(dist, oracle_endpoints,
+                                                        center_x, radius, p_exact):
+    event = BallEvent(exp_matrix(dist.mean if center_x is None else center_x), radius)
+    assert exact_ball_probability(oracle_endpoints, event) == p_exact
+    # the plain 95% Wilson interval covers it on at least 17 of 20 seeds
+    covered = 0
+    for seed in range(20):
+        est = estimate_probability(dist, ORACLE_N, event, 2000, seed=300 + seed)
+        covered += est.lo <= p_exact <= est.hi
+    assert covered >= 17, covered
+    # the mean of 20 tilted estimates lies within 3 standard errors of it
+    tilt = auto_tilt(dist, event) if center_x is not None else legendre(dist, line_x(0.6)).maximizer
+    vals = np.array([tilted_estimator(dist, ORACLE_N, event, 2000, tilt, seed=400 + seed).p
+                     for seed in range(20)])
+    assert abs(vals.mean() - p_exact) <= 3 * vals.std(ddof=1) / np.sqrt(20)

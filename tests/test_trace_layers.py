@@ -96,8 +96,10 @@ def test_traced_exponential_is_one_call_per_exp_matrix():
 
 
 def test_traced_rate_curve_counts_draws_products_and_hits(dist):
-    # the estimator draws through IncrementDistribution.sample_indices and
-    # multiplies through _kernels.indexed_products inside mc._event_distances
+    # the estimator draws block codes through IncrementDistribution.sample_codes,
+    # which the tracer does not wrap, so sample_indices (walks only) counts
+    # no draw; _kernels.indexed_products, inside mc._event_distances, counts
+    # one product per code: ceil(n / 8) per sample for two atoms
     tracing = load_tracing()
     tracer = tracing.Tracer()
     event = BallEvent(exp_matrix(dist.mean), 0.1)
@@ -106,8 +108,9 @@ def test_traced_rate_curve_counts_draws_products_and_hits(dist):
         liewalk.empirical_rate_curve(dist, event, [20, 37], 500, seed=3, shards=2)
     finally:
         tracer.restore()
-    assert tracer.counts["distributions.sample_indices.draws"] == 500 * (20 + 37)
-    assert tracer.counts["kernels.indexed_products.products"] == 500 * (20 + 37)
+    assert tracer.counts["distributions.sample_indices.draws"] == 0
+    assert tracer.calls["distributions.sample_indices"] == 0
+    assert tracer.counts["kernels.indexed_products.products"] == 500 * (3 + 5)
     assert tracer.calls["mc.event_distances"] == tracer.calls["kernels.indexed_products"] == 4
     assert tracer.calls["mc.tilted_estimator"] == 2
     assert tracer.counts["mc.plain.n20.hits"] > 0 and tracer.counts["mc.plain.n37.hits"] > 0
@@ -153,3 +156,16 @@ def test_every_benchmark_command_line_parses(workload, tmp_path, monkeypatch):
         args = liewalk.cli.build_parser().parse_args(op.argv)
         _, _, keys = liewalk.cli.COMMANDS[args.subcommand]
         liewalk.cli._resolve(args, {}, keys)
+
+
+@pytest.mark.parametrize("seed", [7, 301])
+def test_mc_tilted_workload_passes_its_checks(seed, tmp_path, monkeypatch):
+    # the benchmark's Monte Carlo gate: every mc-tilted op exits 0 and its
+    # check, a window on the rate around the minimal cost, finds nothing
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.mc_tilted(seed, str(tmp_path))
+    assert ops
+    for op in ops:
+        assert liewalk.cli.main(op.argv) == 0, op.label
+        assert op.check() == [], op.label
