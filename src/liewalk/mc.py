@@ -13,8 +13,7 @@ Each shard draws its walks once, as block codes
 (``IncrementDistribution.sample_codes``): one alias draw per block of B
 steps (8 for two atoms), and no (samples, n) array of per-step indices.
 The endpoints come from ``_kernels.indexed_products`` on the codes, and a
-tilted estimate's atom counts from a table of per-code counts, a popcount
-at two atoms; a shard's memory is its samples x ceil(n / B) code bytes.
+tilted estimate's atom counts from a table of per-code counts; a shard's memory is its samples x ceil(n / B) code bytes.
 
 Empirical rate curves n -> -(1/n) log p are finite-n surrogates for an
 asymptotic statement; every curve carries that disclaimer in its metadata.
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import indexed_products, stoch2_log_norms
+from ._kernels import _CHUNK_CODES, indexed_products, stoch2_log_norms
 from .distributions import IncrementDistribution, block_width, code_digits
 from .errors import InvalidArgumentError, OutOfDomainError, _positive_int
 from .legendre import legendre, log_mgf
@@ -113,18 +112,21 @@ def _atom_counts(codes: np.ndarray, k: int, n: int) -> np.ndarray:
     (samples, k) int64, from its block codes (``sample_codes``).
 
     A (k^B, k) table holds each code's digit counts, gathered once per
-    atom; at k = 2 a code's count of atom 1 is its popcount, with no table.
-    A last code of r < B steps reads as B digits whose B - r leading zeros
-    count only towards atom 0, so atom 0 takes n minus the other counts.
+    atom other than 0 (at k = 2 its column 1 is each code's popcount), in
+    chunks of about _CHUNK_CODES codes, since a gather widens its indices
+    to intp.  A last code of r < B steps reads as B digits whose B - r
+    leading zeros count only towards atom 0, so atom 0 takes n minus the
+    other counts.
     """
     counts = np.empty((len(codes), k), dtype=np.int64)
-    if k == 2:
-        counts[:, 1] = np.bitwise_count(codes).sum(axis=1, dtype=np.int64)
-    else:
-        digits = code_digits(k, block_width(k))
-        table = (digits[:, :, None] == np.arange(k)).sum(axis=1, dtype=np.uint8)
+    digits = code_digits(k, block_width(k))
+    table = (digits[:, :, None] == np.arange(k)).sum(axis=1, dtype=np.uint8)
+    rows = max(1, _CHUNK_CODES // max(1, codes.shape[1]))
+    for start in range(0, len(codes), rows):
+        part = codes[start:start + rows]
         for a in range(1, k):
-            counts[:, a] = np.take(table[:, a], codes).sum(axis=1, dtype=np.int64)
+            counts[start:start + rows, a] = np.take(table[:, a], part).sum(
+                axis=1, dtype=np.int64)
     counts[:, 0] = n - counts[:, 1:].sum(axis=1)
     return counts
 

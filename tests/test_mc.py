@@ -306,8 +306,8 @@ def test_sample_indices_match_searchsorted(k, size):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_atom_counts_match_comparisons(k):
-    # two atoms count by popcount of the codes, more by a table of digit
-    # counts; a last code of r < B steps has B - r leading zero digits
+    # every k counts through one table of digit counts; a last code of
+    # r < B steps has B - r leading zero digits
     rng = np.random.default_rng(12)
     for n in [*range(1, 71), 20_000]:
         idx = rng.integers(0, k, size=(40, n)).astype(np.uint8)
